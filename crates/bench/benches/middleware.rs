@@ -24,11 +24,9 @@ fn flow_with_corpus(paragraphs: usize, cache: bool) -> (BrowserFlow, Vec<String>
         .expect("policy builds");
     let mut gen = TextGen::new(21);
     let texts: Vec<String> = (0..paragraphs).map(|_| gen.paragraph(7)).collect();
-    let library: ServiceId = "library".into();
-    for (i, text) in texts.iter().enumerate() {
-        flow.index_paragraph(&library, "corpus", i, text)
-            .expect("library registered");
-    }
+    let slots: Vec<(usize, &str)> = texts.iter().map(String::as_str).enumerate().collect();
+    flow.observe_paragraphs(&"library".into(), "corpus", &slots)
+        .expect("library registered");
     (flow, texts)
 }
 

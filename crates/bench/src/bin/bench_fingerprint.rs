@@ -114,8 +114,8 @@ struct BulkResult {
     /// Exact allocations per paragraph of the batched observe path
     /// (`DisclosureEngine::observe_paragraphs`), native kernel.
     batched_allocs_per_paragraph: u64,
-    /// Exact allocations per paragraph of the per-call observe path
-    /// (`DisclosureEngine::observe_paragraph`), native kernel.
+    /// Exact allocations per paragraph of one-slot observe calls
+    /// (`DisclosureEngine::observe_paragraphs`), native kernel.
     single_allocs_per_paragraph: u64,
 }
 
@@ -165,10 +165,9 @@ fn base_text(len: usize, gen: &mut TextGen) -> String {
 fn library_engine() -> DisclosureEngine {
     let engine = DisclosureEngine::new(EngineConfig::default());
     let mut gen = TextGen::new(41);
+    let texts: Vec<String> = (0..LIBRARY_PARAGRAPHS).map(|_| gen.paragraph(6)).collect();
     let library = DocKey::new("library", "corpus");
-    for index in 0..LIBRARY_PARAGRAPHS {
-        engine.observe_paragraph(&library, index, &gen.paragraph(6), None);
-    }
+    engine.observe_paragraphs(&library, texts.iter().map(String::as_str).enumerate(), None);
     engine
 }
 
@@ -294,7 +293,7 @@ fn bulk_pass(texts: &[String]) -> (f64, u64) {
     )
 }
 
-/// One ingest of `texts` through the per-call observe path; returns the
+/// One ingest of `texts` through one-slot observe calls; returns the
 /// exact allocations per paragraph. Guards the observe paths' use of the
 /// shared fingerprint scratch: a fresh scratch per call would show up
 /// here as a step change in the count.
@@ -303,7 +302,7 @@ fn single_observe_allocs(texts: &[String]) -> u64 {
     let doc = DocKey::new("wiki", "single-ingest");
     let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
     for (index, text) in texts.iter().enumerate() {
-        engine.observe_paragraph(&doc, index, text, None);
+        engine.observe_paragraphs(&doc, [(index, text.as_str())], None);
     }
     (ALLOCATIONS.load(Ordering::Relaxed) - allocs_before) / texts.len() as u64
 }
@@ -460,7 +459,7 @@ fn main() {
     );
     println!(
         "observe allocations: {} per paragraph batched (observe_paragraphs), \
-         {} per paragraph single-call (observe_paragraph) — both ride the shared \
+         {} per paragraph single-call (one-slot observe_paragraphs) — both ride the shared \
          fingerprint scratch",
         bulk.batched_allocs_per_paragraph, bulk.single_allocs_per_paragraph
     );

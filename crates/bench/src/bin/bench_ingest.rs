@@ -9,12 +9,13 @@
 //! `BENCH_ingest.json` at the repo root.
 //!
 //! The gated metric is the *lock round-trip reduction*, which is
-//! deterministic: the per-paragraph loop takes one `DBhash` stripe lock
-//! per hash and one `DBpar` stripe lock per paragraph, while the batched
-//! pass takes each touched stripe lock once per batch. Wall time is
-//! reported alongside but not gated — on a single core both shapes are
-//! bound by the same per-hash map work, so the wall-clock win only
-//! materialises with cores for the stripes (and the pool-parallel
+//! deterministic: `observe` is a one-entry batch, so the per-paragraph
+//! loop takes each touched `DBhash` and `DBpar` stripe lock once per
+//! paragraph, while the batched pass takes each once per batch. Both
+//! counts come from the store's `batch_lock_acquisitions` counter. Wall
+//! time is reported alongside but not gated — on a single core both
+//! shapes are bound by the same per-hash map work, so the wall-clock win
+//! only materialises with cores for the stripes (and the pool-parallel
 //! fingerprint fan-out above this layer) to spread over.
 //!
 //! The floor defaults to 3.0x and can be overridden with
@@ -45,10 +46,10 @@ fn write_report(results: &[ingest::SizeResult]) {
     let json = format!(
         "{{\n  \"bench\": \"ingest\",\n  \
          \"note\": \"per-paragraph observe loop vs one observe_batch call over the \
-         Algorithm 1 corpus; 'per_paragraph_locks' is one DBhash stripe round-trip \
-         per hash plus one DBpar round-trip per paragraph, 'batched_locks' is the \
-         store's batch_lock_acquisitions counter (one round-trip per touched stripe \
-         per batch); batched ingest is asserted observation-equivalent to the \
+         Algorithm 1 corpus; both lock columns are the store's \
+         batch_lock_acquisitions counter: observe is a one-entry batch, so \
+         'per_paragraph_locks' pays one round-trip per touched stripe per paragraph \
+         and 'batched_locks' one per touched stripe per batch; batched ingest is asserted observation-equivalent to the \
          sequential loop before timing; lock_reduction is the CI-gated metric, wall \
          times are informational (single-core hosts see parity)\",\n  \
          \"sizes\": [\n{}\n  ]\n}}\n",

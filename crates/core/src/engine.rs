@@ -265,7 +265,7 @@ impl Default for EngineConfig {
 /// let source = DocKey::new("wiki", "guidelines");
 /// let text = "score candidates on communication, coding fluency, systems design \
 ///             depth and the quality of their clarifying questions";
-/// engine.observe_paragraph(&source, 0, text, None);
+/// engine.observe_paragraphs(&source, [(0, text)], None);
 ///
 /// let target = DocKey::new("gdocs", "draft");
 /// let matches = engine.check_paragraph(&target, 0, text);
@@ -370,37 +370,20 @@ impl DisclosureEngine {
         self.registry.read().ids.get(key).copied()
     }
 
-    /// Records (or re-records) a paragraph's fingerprint. `threshold`
-    /// falls back to the configured `Tpar` default. Returns the segment id.
-    pub fn observe_paragraph(
-        &self,
-        doc: &DocKey,
-        index: usize,
-        text: &str,
-        threshold: Option<f64>,
-    ) -> SegmentId {
-        let key = SegmentKey::paragraph(doc.clone(), index);
-        let id = self.segment_id(&key);
-        let print = self.fingerprinter.fingerprint(text);
-        self.paragraphs
-            .observe(id, &print, threshold.unwrap_or(self.config.default_tpar));
-        self.cache.invalidate(id);
-        id
-    }
-
-    /// Bulk-ingests many paragraphs of one document through the batched
-    /// store path.
+    /// Records (or re-records) the fingerprints of paragraphs of one
+    /// document — the engine's one paragraph write path, for a single
+    /// paragraph and a whole document alike. `threshold` falls back to
+    /// the configured `Tpar` default. Returns the segment ids in input
+    /// order.
     ///
-    /// Semantically identical to calling
-    /// [`DisclosureEngine::observe_paragraph`] per `(index, text)` pair,
-    /// but mechanically batched end to end: fingerprinting fans the
-    /// paragraphs out over the persistent worker pool (each worker runs
-    /// the SIMD bulk kernel against its own thread-local scratch, see
+    /// Batched end to end: fingerprinting fans large batches out over the
+    /// persistent worker pool (each worker runs the SIMD bulk kernel
+    /// against its own thread-local scratch, see
     /// [`DisclosureEngine::fingerprint_kernel`]), and all observations
     /// land through one [`FingerprintStore::observe_batch`] call — one
     /// stripe-lock round-trip per touched stripe instead of one per hash.
-    /// This is the shape corpus ingest, document indexing and
-    /// restore-verify use.
+    /// Observing paragraphs one call at a time gives the same store state
+    /// as one call with all of them.
     pub fn observe_paragraphs<'a, I>(
         &self,
         doc: &DocKey,
@@ -530,35 +513,14 @@ impl DisclosureEngine {
         }
     }
 
-    /// Batched paragraph-granularity check: fingerprints and checks every
-    /// paragraph of a document, fanning the per-paragraph work over worker
-    /// threads (the stores are lock-striped, so checkers proceed in
-    /// parallel). Results are returned in input order, identical to calling
-    /// [`DisclosureEngine::check_paragraph`] per paragraph.
-    ///
-    /// `workers <= 1`, or fewer than two paragraphs, runs on the calling
-    /// thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkerPanic`] if a paragraph check panicked; the engine
-    /// remains usable for subsequent checks.
-    pub fn check_paragraphs(
-        &self,
-        doc: &DocKey,
-        paragraphs: &[&str],
-        workers: usize,
-    ) -> Result<Vec<Vec<DisclosureMatch>>, WorkerPanic> {
-        let items: Vec<(usize, &str)> = paragraphs.iter().copied().enumerate().collect();
-        self.check_paragraphs_at(doc, &items, workers)
-    }
-
-    /// [`DisclosureEngine::check_paragraphs`] with explicit paragraph
-    /// indices: each `(index, text)` item is checked as if by
-    /// [`DisclosureEngine::check_paragraph`], fanned out over `workers`
-    /// threads, with results in item order. This is the primitive behind
-    /// the unified [`CheckRequest`](crate::CheckRequest) surface, where a
-    /// batch need not start at paragraph 0 or be contiguous.
+    /// Batched paragraph-granularity check: each `(index, text)` item is
+    /// checked as if by [`DisclosureEngine::check_paragraph`], fanned out
+    /// over `workers` threads (the stores are lock-striped, so checkers
+    /// proceed in parallel), with results in item order. `workers <= 1`,
+    /// or fewer than two items, runs on the calling thread. This is the
+    /// primitive behind the unified [`CheckRequest`](crate::CheckRequest)
+    /// surface, where a batch need not start at paragraph 0 or be
+    /// contiguous.
     ///
     /// # Errors
     ///
@@ -968,7 +930,7 @@ mod tests {
     fn observe_then_check_roundtrip() {
         let engine = engine();
         let wiki = DocKey::new("wiki", "rubric");
-        engine.observe_paragraph(&wiki, 0, SECRET, None);
+        engine.observe_paragraphs(&wiki, [(0, SECRET)], None);
         let gdocs = DocKey::new("gdocs", "draft");
         let matches = engine.check_paragraph(&gdocs, 0, SECRET);
         assert_eq!(matches.len(), 1);
@@ -991,7 +953,7 @@ mod tests {
             .collect();
         let mut single_ids = Vec::new();
         for (i, text) in &paragraphs {
-            single_ids.push(singles.observe_paragraph(&doc, *i, text, None));
+            single_ids.extend(singles.observe_paragraphs(&doc, [(*i, text.as_str())], None));
         }
         let batch_ids = batched.observe_paragraphs(
             &doc,
@@ -1022,7 +984,7 @@ mod tests {
     fn self_check_reports_nothing() {
         let engine = engine();
         let wiki = DocKey::new("wiki", "rubric");
-        engine.observe_paragraph(&wiki, 0, SECRET, None);
+        engine.observe_paragraphs(&wiki, [(0, SECRET)], None);
         assert!(engine.check_paragraph(&wiki, 0, SECRET).is_empty());
     }
 
@@ -1030,7 +992,7 @@ mod tests {
     fn cache_hits_on_unchanged_fingerprint() {
         let engine = engine();
         let wiki = DocKey::new("wiki", "rubric");
-        engine.observe_paragraph(&wiki, 0, SECRET, None);
+        engine.observe_paragraphs(&wiki, [(0, SECRET)], None);
         let gdocs = DocKey::new("gdocs", "draft");
         engine.check_paragraph(&gdocs, 0, SECRET);
         let (hits_before, _) = engine.cache_stats();
@@ -1043,12 +1005,12 @@ mod tests {
     fn observation_invalidates_cache() {
         let engine = engine();
         let wiki = DocKey::new("wiki", "rubric");
-        engine.observe_paragraph(&wiki, 0, SECRET, None);
+        engine.observe_paragraphs(&wiki, [(0, SECRET)], None);
         let gdocs = DocKey::new("gdocs", "draft");
         assert_eq!(engine.check_paragraph(&gdocs, 0, SECRET).len(), 1);
         // The gdocs paragraph is observed (stored); its cached decision must
         // be invalidated so the next check is recomputed.
-        engine.observe_paragraph(&gdocs, 0, SECRET, None);
+        engine.observe_paragraphs(&gdocs, [(0, SECRET)], None);
         let matches = engine.check_paragraph(&gdocs, 0, SECRET);
         assert_eq!(matches.len(), 1, "still discloses the wiki source");
     }
@@ -1081,7 +1043,7 @@ mod tests {
     fn keystroke_session_matches_full_checks() {
         let engine = engine();
         let wiki = DocKey::new("wiki", "rubric");
-        engine.observe_paragraph(&wiki, 0, SECRET, None);
+        engine.observe_paragraphs(&wiki, [(0, SECRET)], None);
         let gdocs = DocKey::new("gdocs", "draft");
 
         // Type the secret character by character through the edit path;
@@ -1107,7 +1069,7 @@ mod tests {
     fn keystroke_deletions_clear_matches() {
         let engine = engine();
         let wiki = DocKey::new("wiki", "rubric");
-        engine.observe_paragraph(&wiki, 0, SECRET, None);
+        engine.observe_paragraphs(&wiki, [(0, SECRET)], None);
         let gdocs = DocKey::new("gdocs", "draft");
         let matches = engine
             .apply_paragraph_edit(&gdocs, 0, &TextEdit::insert(0, SECRET))
@@ -1124,7 +1086,7 @@ mod tests {
     fn absorbed_edits_keep_the_session_consistent() {
         let engine = engine();
         let wiki = DocKey::new("wiki", "rubric");
-        engine.observe_paragraph(&wiki, 0, SECRET, None);
+        engine.observe_paragraphs(&wiki, [(0, SECRET)], None);
         let gdocs = DocKey::new("gdocs", "draft");
         // Absorb the paste (superseded keystroke), then check a trailing
         // edit: the verdict reflects the absorbed content too.
@@ -1165,16 +1127,15 @@ mod tests {
         let engine = engine();
         let wiki = DocKey::new("wiki", "rubric");
         let gdocs = DocKey::new("gdocs", "draft");
-        engine.observe_paragraph(&wiki, 0, SECRET, None);
+        engine.observe_paragraphs(&wiki, [(0, SECRET)], None);
         // An idle keystroke session, last touched before the next store
         // observation.
         engine
             .apply_paragraph_edit(&gdocs, 0, &TextEdit::insert(0, "typed early"))
             .unwrap();
-        engine.observe_paragraph(
+        engine.observe_paragraphs(
             &wiki,
-            1,
-            "another paragraph with enough words to fingerprint",
+            [(1, "another paragraph with enough words to fingerprint")],
             None,
         );
         // A fresh session, touched after every store observation.
@@ -1204,7 +1165,7 @@ mod tests {
     fn threshold_override() {
         let engine = engine();
         let wiki = DocKey::new("wiki", "rubric");
-        engine.observe_paragraph(&wiki, 0, SECRET, Some(1.0));
+        engine.observe_paragraphs(&wiki, [(0, SECRET)], Some(1.0));
         let gdocs = DocKey::new("gdocs", "draft");
         // Half the text does not meet a 1.0 threshold.
         let half = &SECRET[..SECRET.len() / 2];
@@ -1221,7 +1182,7 @@ mod tests {
         let _guard = test_hooks::lock();
         let engine = engine();
         let wiki = DocKey::new("wiki", "rubric");
-        engine.observe_paragraph(&wiki, 0, SECRET, None);
+        engine.observe_paragraphs(&wiki, [(0, SECRET)], None);
         let gdocs = DocKey::new("gdocs", "draft");
         let poisoned = format!("{SECRET} {}", test_hooks::FAULT_MARKER);
         let batch: Vec<(usize, &str)> = vec![(0, SECRET), (1, &poisoned), (2, SECRET)];

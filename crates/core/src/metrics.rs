@@ -151,7 +151,7 @@ impl FingerprintModeStats {
 /// use browserflow::{ConcurrencyMetrics, DisclosureEngine, DocKey, EngineConfig};
 ///
 /// let engine = DisclosureEngine::new(EngineConfig::default());
-/// engine.observe_paragraph(&DocKey::new("wiki", "memo"), 0, "some tracked text here", None);
+/// engine.observe_paragraphs(&DocKey::new("wiki", "memo"), [(0, "some tracked text here")], None);
 /// let metrics = ConcurrencyMetrics::of(&engine);
 /// assert!(metrics.paragraphs.shard_count >= 1);
 /// assert_eq!(metrics.total_fingerprints(), metrics.paragraphs.total_entries());

@@ -416,26 +416,10 @@ impl BrowserFlow {
                 }
             }
         }
-        let segment = self.engine.observe_paragraph(&doc, index, text, None);
+        let segment = self.engine.observe_paragraphs(&doc, [(index, text)], None)[0];
         self.labels.write().insert(segment, label.clone());
-        // Lineage: tracked text from another service landed here. All
-        // edges of this observation append as one batch — a single graph
-        // lock round-trip with consecutive clocks.
-        let into_key = SegmentKey::paragraph(doc, index);
-        let edges: Vec<_> = matches
-            .iter()
-            .filter(|m| m.source.doc.service != *service)
-            .map(|m| {
-                (
-                    m.source.doc.service.as_str().to_string(),
-                    service.as_str().to_string(),
-                    m.source.to_string(),
-                    into_key.to_string(),
-                    FlowOperation::Observe,
-                )
-            })
-            .collect();
-        self.lineage.record_batch(edges);
+        let into = SegmentKey::paragraph(doc, index).to_string();
+        self.record_flows(service, &into, &matches, FlowOperation::Observe);
         // Flag when the paragraph's own service lacks privilege for it.
         let flagged = !self.policy.check_release(&label, service)?.is_permitted();
         Ok(ParagraphStatus {
@@ -452,11 +436,8 @@ impl BrowserFlow {
     /// independent granularities, for callers without a DOM — clipboard
     /// payloads, file uploads, `bfctl` inputs).
     ///
-    /// All paragraphs ingest through the batched path
-    /// ([`DisclosureEngine::observe_paragraphs`]): fingerprinting fans out
-    /// over the worker pool and the store takes one stripe-lock round-trip
-    /// per touched stripe — semantically identical to indexing each
-    /// paragraph with [`BrowserFlow::index_paragraph`] in order.
+    /// The paragraphs ingest through [`BrowserFlow::observe_paragraphs`]
+    /// (no disclosure lookup, one batched store write).
     ///
     /// Returns the number of paragraphs indexed.
     ///
@@ -469,61 +450,26 @@ impl BrowserFlow {
         document: &str,
         text: &str,
     ) -> Result<usize, MiddlewareError> {
-        self.policy.service(service)?;
-        let label = self.policy.initial_label(service)?;
-        let segments = browserflow_fingerprint::segment::split_paragraphs(text);
-        let doc = DocKey::new(service.clone(), document);
-        let items: Vec<(usize, &str)> = segments
+        let items: Vec<(usize, &str)> = browserflow_fingerprint::segment::split_paragraphs(text)
             .iter()
             .enumerate()
             .map(|(index, segment)| (index, segment.text))
             .collect();
-        let ids = self.engine.observe_paragraphs(&doc, items, None);
-        {
-            let mut labels = self.labels.write();
-            for &id in &ids {
-                labels.insert(id, label.clone());
-            }
-        }
+        let indexed = self.observe_paragraphs(service, document, &items)?;
         self.observe_document(service, document, text)?;
-        Ok(segments.len())
+        Ok(indexed)
     }
 
-    /// Fast-path observation for indexing an existing corpus: assigns the
-    /// service's confidentiality label and stores the fingerprint
-    /// *without* running the disclosure lookup first.
+    /// Fast-path observation for provisioning pre-split paragraph slots of
+    /// one document — what the daemon's `ObserveBatch` request lands on.
     ///
-    /// Use this when provisioning BrowserFlow with a large body of
-    /// already-trusted content (the paper loads 90 MB of e-books); use
+    /// Each slot gets the service's confidentiality label and its
+    /// fingerprint stored *without* a disclosure lookup first. Use this
+    /// for a large body of already-trusted content (the paper loads 90 MB
+    /// of e-books), one slot or many; use
     /// [`BrowserFlow::observe_paragraph`] for interactive edits, where the
-    /// lookup derives implicit tags.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MiddlewareError::Policy`] if `service` is not registered.
-    pub fn index_paragraph(
-        &self,
-        service: &ServiceId,
-        document: &str,
-        index: usize,
-        text: &str,
-    ) -> Result<SegmentId, MiddlewareError> {
-        let label = self.policy.initial_label(service)?;
-        let doc = DocKey::new(service.clone(), document);
-        let segment = self.engine.observe_paragraph(&doc, index, text, None);
-        self.labels.write().insert(segment, label);
-        Ok(segment)
-    }
-
-    /// Bulk-ingests pre-split paragraph slots of one document — the
-    /// batched counterpart of [`BrowserFlow::index_paragraph`], and what
-    /// the daemon's `ObserveBatch` request lands on.
-    ///
-    /// Like `index_paragraph`, this is the fast provisioning path: each
-    /// slot gets the service's confidentiality label and its fingerprint
-    /// stored *without* a per-paragraph disclosure lookup first.
-    /// Mechanically it rides the batched pipeline end to end —
-    /// pool-parallel fingerprinting into one
+    /// lookup derives implicit tags. Mechanically it rides the batched
+    /// pipeline end to end — pool-parallel fingerprinting into one
     /// [`observe_batch`](browserflow_store::FingerprintStore::observe_batch)
     /// — so a whole document costs one stripe-lock round-trip per touched
     /// stripe. Returns the number of paragraphs observed.
@@ -604,32 +550,19 @@ impl BrowserFlow {
         let all_matches = self
             .engine
             .check_paragraphs_at(&doc, &items, request.workers())?;
-        let mut decisions = Vec::with_capacity(items.len());
-        for (&(index, text), matches) in items.iter().zip(all_matches.iter()) {
-            let mut decision = self.decide(service, matches)?;
-            let secret_violations = self.short_secret_violations(service, text)?;
-            if !secret_violations.is_empty() {
-                decision.violations.extend(secret_violations);
-                decision.action = self.violation_action();
-            }
-            let slot_key = SegmentKey::paragraph(doc.clone(), index);
-            if !decision.violations.is_empty() {
-                self.warnings.lock().push(Warning {
-                    segment: slot_key.clone(),
-                    destination: service.clone(),
-                    violations: decision.violations.clone(),
-                });
-            }
-            self.record_flows_and_alerts(
-                service,
-                &slot_key,
-                matches,
-                &decision,
-                FlowOperation::Check,
-            );
-            decisions.push(decision);
-        }
-        Ok(decisions)
+        items
+            .iter()
+            .zip(&all_matches)
+            .map(|(&(index, text), matches)| {
+                self.decide(
+                    service,
+                    &SegmentKey::paragraph(doc.clone(), index),
+                    matches,
+                    self.short_secret_violations(service, text)?,
+                    FlowOperation::Check,
+                )
+            })
+            .collect()
     }
 
     /// [`BrowserFlow::check`] for single-slot requests: returns the first
@@ -679,7 +612,6 @@ impl BrowserFlow {
         self.policy.service(service)?; // validate the destination exists
         let doc = DocKey::new(service.clone(), document);
         let matches = self.engine.apply_paragraph_edit(&doc, index, edit)?;
-        let mut decision = self.decide(service, &matches)?;
         let secret_violations = self
             .engine
             .with_keystroke_text(&doc, index, |text| {
@@ -687,26 +619,13 @@ impl BrowserFlow {
             })
             .transpose()?
             .unwrap_or_default();
-        if !secret_violations.is_empty() {
-            decision.violations.extend(secret_violations);
-            decision.action = self.violation_action();
-        }
-        let slot_key = SegmentKey::paragraph(doc, index);
-        if !decision.violations.is_empty() {
-            self.warnings.lock().push(Warning {
-                segment: slot_key.clone(),
-                destination: service.clone(),
-                violations: decision.violations.clone(),
-            });
-        }
-        self.record_flows_and_alerts(
+        self.decide(
             service,
-            &slot_key,
+            &SegmentKey::paragraph(doc, index),
             &matches,
-            &decision,
+            secret_violations,
             FlowOperation::Keystroke,
-        );
-        Ok(decision)
+        )
     }
 
     /// Applies a keystroke edit to the session *without* producing a
@@ -759,34 +678,27 @@ impl BrowserFlow {
         self.policy.service(service)?; // validate the destination exists
         let doc = DocKey::new(service.clone(), document);
         let matches = self.engine.check_document(&doc, text);
-        let mut decision = self.decide(service, &matches)?;
-        let secret_violations = self.short_secret_violations(service, text)?;
-        if !secret_violations.is_empty() {
-            decision.violations.extend(secret_violations);
-            decision.action = self.violation_action();
-        }
-        let slot_key = SegmentKey::document(doc);
-        if !decision.violations.is_empty() {
-            self.warnings.lock().push(Warning {
-                segment: slot_key.clone(),
-                destination: service.clone(),
-                violations: decision.violations.clone(),
-            });
-        }
-        self.record_flows_and_alerts(
+        self.decide(
             service,
-            &slot_key,
+            &SegmentKey::document(doc),
             &matches,
-            &decision,
+            self.short_secret_violations(service, text)?,
             FlowOperation::Upload,
-        );
-        Ok(decision)
+        )
     }
 
+    /// The shared tail of every enforcement entry point: turns the
+    /// disclosed sources the destination lacks privilege for, plus any
+    /// short-secret violations, into the decision; records the warning of
+    /// a violating decision; then does the lineage bookkeeping
+    /// ([`BrowserFlow::record_flows_and_alerts`]).
     fn decide(
         &self,
         service: &ServiceId,
+        slot_key: &SegmentKey,
         matches: &[DisclosureMatch],
+        secret_violations: Vec<Violation>,
+        operation: FlowOperation,
     ) -> Result<UploadDecision, MiddlewareError> {
         let mut violations = Vec::new();
         let labels = self.labels.read();
@@ -808,20 +720,55 @@ impl BrowserFlow {
                 });
             }
         }
+        drop(labels);
+        violations.extend(secret_violations);
         let action = if violations.is_empty() {
             UploadAction::Allow
         } else {
+            self.warnings.lock().push(Warning {
+                segment: slot_key.clone(),
+                destination: service.clone(),
+                violations: violations.clone(),
+            });
             self.violation_action()
         };
-        Ok(UploadDecision { action, violations })
+        let decision = UploadDecision { action, violations };
+        self.record_flows_and_alerts(service, slot_key, matches, &decision, operation);
+        Ok(decision)
     }
 
-    /// Lineage bookkeeping for a completed check: records a flow edge for
-    /// every cross-service source the checked text disclosed, then — when
-    /// the check violated — walks the graph backwards from each violating
-    /// edge and raises an [`ExfiltrationAlert`] for every multi-hop chain,
-    /// with a [`ContainmentReceipt`] tying it to the warning trail and the
-    /// policy audit log.
+    /// Appends a flow edge for every cross-service source in `matches`
+    /// landing in segment `into`. All edges append as one batch — a single
+    /// graph lock round-trip with consecutive clocks.
+    fn record_flows(
+        &self,
+        service: &ServiceId,
+        into: &str,
+        matches: &[DisclosureMatch],
+        operation: FlowOperation,
+    ) {
+        let edges: Vec<_> = matches
+            .iter()
+            .filter(|m| m.source.doc.service != *service)
+            .map(|m| {
+                (
+                    m.source.doc.service.as_str().to_string(),
+                    service.as_str().to_string(),
+                    m.source.to_string(),
+                    into.to_string(),
+                    operation,
+                )
+            })
+            .collect();
+        self.lineage.record_batch(edges);
+    }
+
+    /// Lineage bookkeeping for a completed check: records its flow edges
+    /// ([`BrowserFlow::record_flows`]), then — when the check violated —
+    /// walks the graph backwards from each violating edge and raises an
+    /// [`ExfiltrationAlert`] for every multi-hop chain, with a
+    /// [`ContainmentReceipt`] tying it to the warning trail and the policy
+    /// audit log.
     fn record_flows_and_alerts(
         &self,
         service: &ServiceId,
@@ -831,20 +778,7 @@ impl BrowserFlow {
         operation: FlowOperation,
     ) {
         let into = sink_segment.to_string();
-        let edges: Vec<_> = matches
-            .iter()
-            .filter(|m| m.source.doc.service != *service)
-            .map(|m| {
-                (
-                    m.source.doc.service.as_str().to_string(),
-                    service.as_str().to_string(),
-                    m.source.to_string(),
-                    into.clone(),
-                    operation,
-                )
-            })
-            .collect();
-        self.lineage.record_batch(edges);
+        self.record_flows(service, &into, matches, operation);
         if decision.violations.is_empty() {
             return;
         }

@@ -30,9 +30,7 @@ proptest! {
     fn never_reports_self(texts in proptest::collection::vec(prose(), 1..6)) {
         let engine = DisclosureEngine::new(config(true));
         let doc = DocKey::new("svc", "doc");
-        for (i, text) in texts.iter().enumerate() {
-            engine.observe_paragraph(&doc, i, text, None);
-        }
+        engine.observe_paragraphs(&doc, texts.iter().map(String::as_str).enumerate(), None);
         for (i, text) in texts.iter().enumerate() {
             let own_key = browserflow::SegmentKey::paragraph(doc.clone(), i);
             for found in engine.check_paragraph(&doc, i, text) {
@@ -51,9 +49,8 @@ proptest! {
         let cached = DisclosureEngine::new(config(true));
         let uncached = DisclosureEngine::new(config(false));
         let source = DocKey::new("src", "doc");
-        for (i, text) in stored.iter().enumerate() {
-            cached.observe_paragraph(&source, i, text, None);
-            uncached.observe_paragraph(&source, i, text, None);
+        for engine in [&cached, &uncached] {
+            engine.observe_paragraphs(&source, stored.iter().map(String::as_str).enumerate(), None);
         }
         let target = DocKey::new("dst", "doc");
         for (i, probe) in probes.iter().enumerate() {
@@ -72,7 +69,7 @@ proptest! {
     fn disclosure_monotone_under_truncation(text in prose()) {
         let engine = DisclosureEngine::new(config(false));
         let source = DocKey::new("src", "doc");
-        engine.observe_paragraph(&source, 0, &text, Some(0.0));
+        engine.observe_paragraphs(&source, [(0, text.as_str())], Some(0.0));
         let target = DocKey::new("dst", "doc");
         let full = engine.check_paragraph(&target, 0, &text);
         let half: String = text.chars().take(text.chars().count() / 2).collect();

@@ -160,14 +160,26 @@ pub fn write_request(writer: &mut impl Write, request: &Request) -> Result<(), F
     write_frame(writer, &body)
 }
 
-/// Serialises and writes one reply frame.
+/// Serialises and writes one reply frame. A reply that encodes larger
+/// than [`MAX_FRAME_LEN`] is replaced by a [`Reply::Error`] naming its
+/// size, so the peer gets an answer instead of a hangup.
 ///
 /// # Errors
 ///
 /// Transport errors from [`write_frame`].
 pub fn write_reply(writer: &mut impl Write, reply: &Reply) -> Result<(), FrameError> {
     let body = serde_json::to_vec(reply).map_err(|e| FrameError::Malformed(e.to_string()))?;
-    write_frame(writer, &body)
+    match write_frame(writer, &body) {
+        Err(FrameError::TooLarge { declared }) => write_reply(
+            writer,
+            &Reply::Error {
+                message: format!(
+                    "reply of {declared} bytes exceeds the {MAX_FRAME_LEN}-byte frame limit"
+                ),
+            },
+        ),
+        written => written,
+    }
 }
 
 /// Reads and decodes one request frame (`Ok(None)` on clean EOF).
@@ -520,6 +532,26 @@ mod tests {
             read_frame(&mut &wire[..]),
             Err(FrameError::TooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn oversize_reply_becomes_an_error_reply() {
+        let huge = Reply::Error {
+            message: "x".repeat(MAX_FRAME_LEN + 1),
+        };
+        let mut wire = Vec::new();
+        write_reply(&mut wire, &huge).unwrap();
+        assert!(wire.len() < 1024, "the replacement reply is small");
+        match read_reply(&mut &wire[..]).unwrap().unwrap() {
+            Reply::Error { message } => {
+                let size = serde_json::to_vec(&huge).unwrap().len();
+                assert!(
+                    message.contains(&format!("reply of {size} bytes")),
+                    "{message}"
+                );
+            }
+            other => panic!("expected Error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -633,6 +633,30 @@ fn malformed_and_hostile_frames_get_typed_errors() {
 }
 
 #[test]
+fn deeply_nested_frame_is_a_typed_error_and_the_connection_survives() {
+    use browserflow_daemon::protocol::{read_reply, write_frame, write_request};
+    let (socket, handle) = start_daemon(DaemonConfig::new(socket_path("nested")));
+
+    // 10,000 unclosed arrays: a typed error reply rather than a stack
+    // overflow that kills the daemon, and the same connection keeps
+    // serving.
+    let mut stream = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+    write_frame(&mut stream, &[b'['; 10_000]).unwrap();
+    let reply = read_reply(&mut stream).unwrap().unwrap();
+    assert!(
+        matches!(reply, Reply::Error { ref message } if message.contains("recursion limit")),
+        "got {reply:?}"
+    );
+    write_request(&mut stream, &Request::Ping).unwrap();
+    let reply = read_reply(&mut stream).unwrap().unwrap();
+    assert!(matches!(reply, Reply::Pong { .. }), "got {reply:?}");
+
+    let mut client = DaemonClient::connect(&socket).unwrap();
+    drain(&mut client);
+    handle.join().unwrap();
+}
+
+#[test]
 fn unknown_tenant_and_bad_create_are_typed_errors() {
     let (socket, handle) = start_daemon(DaemonConfig::new(socket_path("errors")));
     let mut client = DaemonClient::connect(&socket).unwrap();

@@ -28,9 +28,8 @@
 //!
 //! # The builder pair
 //!
-//! [`PersistOptions`] and [`StoreOpenOptions`] replace the former 2×2
-//! spread of free functions (`persist_to_dir`/`load_from_dir` ×
-//! plain/sealed, which survive as deprecated shims):
+//! [`PersistOptions`] writes a snapshot and [`StoreOpenOptions`] opens
+//! one; each covers plain and sealed directories:
 //!
 //! ```no_run
 //! use browserflow_store::{FingerprintStore, PersistOptions, StoreFormat, StoreOpenOptions, TierMode};
@@ -270,10 +269,6 @@ fn encode_v3_parts(
 }
 
 /// How to write a store snapshot: plain or sealed, v2 or v3.
-///
-/// Replaces `persist_to_dir` / `persist_sealed_to_dir`; the v3 format knob
-/// is the reason the surface was collapsed — tiering slots in as one
-/// builder option instead of a third pair of free functions.
 #[derive(Debug, Clone, Default)]
 pub struct PersistOptions {
     key: Option<StoreKey>,
@@ -282,13 +277,13 @@ pub struct PersistOptions {
 }
 
 impl PersistOptions {
-    /// Plain (unsealed) v2 snapshot — the former `persist_to_dir`.
+    /// Plain (unsealed) v2 snapshot.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Sealed snapshot under `key` (encrypted at rest, §4.4) — the former
-    /// `persist_sealed_to_dir`. Only valid with [`StoreFormat::V2`].
+    /// Sealed snapshot under `key` (encrypted at rest, §4.4). Only valid
+    /// with [`StoreFormat::V2`].
     pub fn sealed(key: StoreKey) -> Self {
         Self {
             key: Some(key),
@@ -364,8 +359,7 @@ impl PersistOptions {
 
 /// How to open a persisted snapshot: plain or sealed, hot or cold.
 ///
-/// Replaces `load_from_dir` / `load_sealed_from_dir` and also accepts
-/// single-file payloads (plain v1/v2 blobs and sealed containers), so any
+/// Also accepts single-file payloads (plain v1/v2 blobs and sealed containers), so any
 /// snapshot ever written by this crate opens through one entry point.
 #[derive(Debug, Clone, Default)]
 pub struct StoreOpenOptions {
@@ -375,13 +369,12 @@ pub struct StoreOpenOptions {
 }
 
 impl StoreOpenOptions {
-    /// Plain open, hot tier — the former `load_from_dir`.
+    /// Plain open, hot tier.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Open with `key` available for sealed payloads — the former
-    /// `load_sealed_from_dir`.
+    /// Open with `key` available for sealed payloads.
     pub fn sealed(key: StoreKey) -> Self {
         Self {
             key: Some(key),
@@ -412,7 +405,7 @@ impl StoreOpenOptions {
     }
 
     /// Opens the snapshot at `path` — a directory written by
-    /// [`PersistOptions::persist`] (or its deprecated predecessors), or a
+    /// [`PersistOptions::persist`], or a
     /// single-file payload (plain v1/v2 bytes, or a sealed container).
     ///
     /// Degrades gracefully: shards that are missing, truncated, or
@@ -791,89 +784,6 @@ impl FingerprintStore {
     }
 }
 
-/// Persists the store to `dir` as a plain (unsealed) sharded snapshot.
-///
-/// # Errors
-///
-/// See [`PersistOptions::persist`].
-#[deprecated(
-    since = "0.7.0",
-    note = "use PersistOptions::new().persist(store, dir)"
-)]
-pub fn persist_to_dir(store: &FingerprintStore, dir: &Path) -> Result<(), PersistError> {
-    PersistOptions::new().persist(store, dir)
-}
-
-/// Persists the store to `dir` with every file sealed under `key`
-/// (encrypted at rest, §4.4).
-///
-/// # Errors
-///
-/// See [`PersistOptions::persist`].
-#[deprecated(
-    since = "0.7.0",
-    note = "use PersistOptions::sealed(key.clone()).persist(store, dir)"
-)]
-pub fn persist_sealed_to_dir(
-    store: &FingerprintStore,
-    key: &StoreKey,
-    dir: &Path,
-) -> Result<(), PersistError> {
-    PersistOptions::sealed(key.clone()).persist(store, dir)
-}
-
-/// Loads a plain snapshot, degrading gracefully per shard.
-///
-/// # Errors
-///
-/// See [`StoreOpenOptions::open`].
-#[deprecated(since = "0.7.0", note = "use StoreOpenOptions::new().open(dir)")]
-pub fn load_from_dir(dir: &Path) -> Result<(FingerprintStore, RestoreReport), PersistError> {
-    StoreOpenOptions::new().open(dir)
-}
-
-/// Loads a sealed snapshot, degrading gracefully per shard.
-///
-/// # Errors
-///
-/// See [`StoreOpenOptions::open`].
-#[deprecated(
-    since = "0.7.0",
-    note = "use StoreOpenOptions::sealed(key.clone()).open(dir)"
-)]
-pub fn load_sealed_from_dir(
-    key: &StoreKey,
-    dir: &Path,
-) -> Result<(FingerprintStore, RestoreReport), PersistError> {
-    StoreOpenOptions::sealed(key.clone()).open(dir)
-}
-
-/// Persists a [`SealedStore`] container (as produced by
-/// [`FingerprintStore::export_sealed`]) into `dir` as one file per entry.
-///
-/// # Errors
-///
-/// Returns [`PersistError::Io`] on filesystem failure.
-#[deprecated(
-    since = "0.7.0",
-    note = "use PersistOptions::sealed(key).persist(store, dir), which seals while writing"
-)]
-pub fn persist_sealed_store(sealed: &SealedStore, dir: &Path) -> Result<(), PersistError> {
-    fs::create_dir_all(dir)?;
-    let (manifest, shards) = sealed.parts();
-    for (index, shard) in shards.iter().enumerate() {
-        write_atomic(
-            &dir.join(format!("{}{SEALED_SUFFIX}", shard_file(index))),
-            &shard.to_bytes(),
-        )?;
-    }
-    write_atomic(
-        &dir.join(format!("{MANIFEST_FILE}{SEALED_SUFFIX}")),
-        &manifest.to_bytes(),
-    )?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -985,17 +895,5 @@ mod tests {
             Err(PersistError::Unsupported(_))
         ));
         assert!(!dir.exists());
-    }
-
-    #[test]
-    fn deprecated_shims_still_work() {
-        #![allow(deprecated)]
-        let dir = temp_dir("shims");
-        let store = sample_store();
-        persist_to_dir(&store, &dir).unwrap();
-        let (loaded, report) = load_from_dir(&dir).unwrap();
-        assert!(report.is_complete());
-        assert_eq!(loaded.segment_count(), store.segment_count());
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -268,6 +268,32 @@ impl HashStripe {
     }
 }
 
+/// The partitioning buffers of [`ShardedHashDb::record_sightings_indexed`],
+/// kept per thread between batches.
+#[derive(Debug, Default)]
+struct RunScratch {
+    bounds: Vec<u32>,
+    ordered: Vec<(u32, u32, u32)>,
+}
+
+impl RunScratch {
+    /// Largest run buffer (in sightings) kept for the next batch; a bulk
+    /// ingest beyond it frees its buffer instead of pinning it per thread.
+    const RETAIN: usize = 1 << 16;
+
+    fn recycle(&mut self) {
+        self.bounds.clear();
+        self.ordered.clear();
+        if self.ordered.capacity() > Self::RETAIN {
+            self.ordered = Vec::new();
+        }
+    }
+}
+
+thread_local! {
+    static RUN_SCRATCH: std::cell::Cell<RunScratch> = std::cell::Cell::new(RunScratch::default());
+}
+
 /// Compact result of [`ShardedHashDb::record_sightings_batch`].
 ///
 /// Deliberately *not* a per-sighting [`SightingOutcome`] vector: the
@@ -303,7 +329,8 @@ pub struct ShardedHashDb {
     /// Bumped on every ownership displacement (an out-of-order insert that
     /// replaced an existing first sighting). Observers compare the epoch
     /// around an observation to detect racing displacements and
-    /// re-validate their authoritative sets; see `FingerprintStore::observe`.
+    /// re-validate their authoritative sets; see
+    /// `FingerprintStore::observe_batch`.
     displacements: AtomicU64,
     /// Cold sightings displaced into the hot tier since open.
     promoted: AtomicU64,
@@ -391,68 +418,74 @@ impl ShardedHashDb {
         &self,
         sightings: &[(u32, SegmentId, Timestamp)],
     ) -> BatchSightings {
-        let pairs: Vec<(u32, u32)> = sightings
-            .iter()
-            .enumerate()
-            .map(|(index, &(hash, _, _))| (hash, index as u32))
-            .collect();
-        let meta: Vec<(SegmentId, Timestamp)> = sightings
-            .iter()
-            .map(|&(_, segment, time)| (segment, time))
-            .collect();
-        self.record_sightings_indexed(&pairs, &meta)
+        self.record_sightings_indexed(
+            sightings
+                .iter()
+                .enumerate()
+                .map(|(index, &(hash, _, _))| (hash, index as u32)),
+            |index| {
+                let (_, segment, time) = sightings[index as usize];
+                (segment, time)
+            },
+        )
     }
 
     /// The core of [`ShardedHashDb::record_sightings_batch`], with the
-    /// per-entry metadata factored out: `pairs` carries `(hash, entry)`
-    /// where `entry` indexes into `meta`'s `(segment, timestamp)` rows.
+    /// per-entry metadata factored out: `sightings` yields `(hash, entry)`
+    /// pairs and `meta(entry)` the entry's `(segment, timestamp)`.
     ///
     /// Bulk callers whose entries each carry many hashes (a fingerprint's
-    /// worth) use this directly — 8 bytes per sighting instead of a
-    /// 24-byte triple keeps the partitioning pass memory-bound work to a
-    /// third. Semantics are exactly the general form's: sighting `i` of
-    /// `pairs` behaves like `record_sighting(pairs[i].0, meta[entry].0,
-    /// meta[entry].1)` issued in submission order.
-    pub fn record_sightings_indexed(
+    /// worth) use this directly and stream the pairs straight out of their
+    /// fingerprints. Semantics are exactly the general form's: the `i`-th
+    /// pair `(hash, entry)` behaves like `record_sighting(hash,
+    /// meta(entry).0, meta(entry).1)` issued in iteration order. The
+    /// partitioning buffers are reused per thread, so a small batch pays
+    /// only for its result.
+    pub fn record_sightings_indexed<I>(
         &self,
-        pairs: &[(u32, u32)],
-        meta: &[(SegmentId, Timestamp)],
-    ) -> BatchSightings {
+        sightings: I,
+        meta: impl Fn(u32) -> (SegmentId, Timestamp),
+    ) -> BatchSightings
+    where
+        I: Iterator<Item = (u32, u32)> + Clone,
+    {
         let shard_count = self.shards.len();
-        let mut counts = vec![0u32; shard_count];
-        let mut stripe_of: Vec<u16> = Vec::with_capacity(pairs.len());
-        for &(hash, _) in pairs {
-            let stripe = self.shard_of(hash);
-            stripe_of.push(stripe as u16);
-            counts[stripe] += 1;
-        }
-        let mut bounds = vec![0u32; shard_count + 1];
-        for stripe in 0..shard_count {
-            bounds[stripe + 1] = bounds[stripe] + counts[stripe];
-        }
+        let mut scratch = RUN_SCRATCH.take();
         // Stable counting sort into contiguous per-stripe runs of
-        // `(hash, submission index, entry)`.
-        let mut cursor: Vec<u32> = bounds[..shard_count].to_vec();
-        let mut ordered: Vec<(u32, u32, u32)> = vec![(0, 0, 0); pairs.len()];
-        for (index, &(hash, entry)) in pairs.iter().enumerate() {
-            let stripe = stripe_of[index] as usize;
-            ordered[cursor[stripe] as usize] = (hash, index as u32, entry);
-            cursor[stripe] += 1;
+        // `(hash, submission index, entry)`. `bounds[s]` starts as stripe
+        // `s`'s run start and serves as its fill cursor, so afterwards it
+        // holds the run's end (and the next run's start).
+        let RunScratch { bounds, ordered } = &mut scratch;
+        bounds.resize(shard_count + 1, 0);
+        let mut total = 0usize;
+        for (hash, _) in sightings.clone() {
+            bounds[self.shard_of(hash) + 1] += 1;
+            total += 1;
+        }
+        for stripe in 0..shard_count {
+            bounds[stripe + 1] += bounds[stripe];
+        }
+        ordered.resize(total, (0, 0, 0));
+        for (index, (hash, entry)) in sightings.enumerate() {
+            let cursor = &mut bounds[self.shard_of(hash)];
+            ordered[*cursor as usize] = (hash, index as u32, entry);
+            *cursor += 1;
         }
 
-        let mut owned = vec![false; pairs.len()];
+        let mut owned = vec![false; total];
         let mut displaced: Vec<(u32, SegmentId)> = Vec::new();
         let mut locks = 0u64;
         let mut promotions = 0u64;
-        for stripe in 0..shard_count {
-            let (start, end) = (bounds[stripe] as usize, bounds[stripe + 1] as usize);
+        let mut start = 0usize;
+        for (stripe, &end) in bounds[..shard_count].iter().enumerate() {
+            let end = end as usize;
             if start == end {
                 continue;
             }
             locks += 1;
             let mut guard = write_shard!(self, stripe);
             for &(hash, index, entry) in &ordered[start..end] {
-                let (segment, time) = meta[entry as usize];
+                let (segment, time) = meta(entry);
                 let (outcome, promoted) = guard.record_sighting(hash, segment, time);
                 if promoted {
                     promotions += 1;
@@ -466,7 +499,10 @@ impl ShardedHashDb {
                     SightingOutcome::Kept(owner) => owner == segment,
                 };
             }
+            start = end;
         }
+        scratch.recycle();
+        RUN_SCRATCH.set(scratch);
         if promotions > 0 {
             self.promoted.fetch_add(promotions, Ordering::Relaxed);
         }
@@ -891,8 +927,8 @@ pub enum SegmentWrite {
         /// The observation's logical timestamp.
         now: Timestamp,
     },
-    /// Remove `hash` from a segment's authoritative set
-    /// ([`ShardedSegmentDb::revoke_authoritative`]).
+    /// Remove `hash` from a segment's authoritative set (a no-op when
+    /// the segment is unknown or does not own `hash`).
     Revoke {
         /// The segment losing authority.
         segment: SegmentId,
@@ -980,54 +1016,26 @@ impl ShardedSegmentDb {
     /// Applies a batch of deferred writes, taking each touched stripe lock
     /// **once** instead of once per write.
     ///
-    /// Writes are bucketed by stripe in submission order, so all writes
-    /// against any given segment apply in the order they appear in
-    /// `writes` — outcome-identical to issuing them one by one (writes to
-    /// different segments commute, and every write against a segment lands
-    /// in the same stripe bucket). Returns the number of stripe locks
-    /// taken; the promotion counter advances exactly as the per-write path
-    /// would advance it.
+    /// Writes are stably sorted by stripe, so all writes against any given
+    /// segment apply in the order they appear in `writes` —
+    /// outcome-identical to issuing them one by one (writes to different
+    /// segments commute, and every write against a segment lands in the
+    /// same stripe run). Returns the number of stripe locks taken; the
+    /// promotion counter advances exactly as the per-write path would
+    /// advance it.
     pub fn apply_writes_batch(&self, mut writes: Vec<SegmentWrite>) -> u64 {
-        // Stable counting sort of write *indices* by stripe: the enum
-        // values stay in place (their heap payloads never move) and each
-        // stripe's pass pulls its writes out with `mem::replace`, so
-        // grouping costs index traffic only, not a payload shuffle.
-        let shard_count = self.shards.len();
-        let mut counts = vec![0u32; shard_count];
-        let stripe_of: Vec<u16> = writes
-            .iter()
-            .map(|write| {
-                let stripe = self.shard_of(write.segment());
-                counts[stripe] += 1;
-                stripe as u16
-            })
-            .collect();
-        let mut bounds = vec![0u32; shard_count + 1];
-        for stripe in 0..shard_count {
-            bounds[stripe + 1] = bounds[stripe] + counts[stripe];
-        }
-        let mut cursor: Vec<u32> = bounds[..shard_count].to_vec();
-        let mut order: Vec<u32> = vec![0; writes.len()];
-        for (index, &stripe) in stripe_of.iter().enumerate() {
-            let at = &mut cursor[stripe as usize];
-            order[*at as usize] = index as u32;
-            *at += 1;
-        }
-        let placeholder = || SegmentWrite::Revoke {
-            segment: SegmentId::new(u64::MAX),
-            hash: 0,
-        };
+        writes.sort_by_key(|write| self.shard_of(write.segment()));
         let mut locks = 0u64;
         let mut promotions = 0u64;
-        for stripe in 0..shard_count {
-            let (start, end) = (bounds[stripe] as usize, bounds[stripe + 1] as usize);
-            if start == end {
-                continue;
-            }
+        let mut writes = writes.into_iter().peekable();
+        while let Some(first) = writes.next() {
+            let stripe = self.shard_of(first.segment());
             locks += 1;
             let mut guard = write_shard!(self, stripe);
-            for &index in &order[start..end] {
-                let write = std::mem::replace(&mut writes[index as usize], placeholder());
+            let run = std::iter::once(first).chain(std::iter::from_fn(|| {
+                writes.next_if(|write| self.shard_of(write.segment()) == stripe)
+            }));
+            for write in run {
                 match write {
                     SegmentWrite::Upsert {
                         segment,
@@ -1057,15 +1065,6 @@ impl ShardedSegmentDb {
             write_shard!(self, self.shard_of(segment)).set_authoritative(segment, authoritative);
         self.count_promotion(promoted);
         found
-    }
-
-    /// Removes `hash` from a segment's authoritative set; `true` if it was
-    /// present.
-    pub fn revoke_authoritative(&self, segment: SegmentId, hash: u32) -> bool {
-        let (revoked, promoted) =
-            write_shard!(self, self.shard_of(segment)).revoke_authoritative(segment, hash);
-        self.count_promotion(promoted);
-        revoked
     }
 
     /// Updates a segment's threshold; `false` if unknown.
@@ -1344,19 +1343,9 @@ mod tests {
                 hash: i as u32,
             });
         }
+        // Chunking invariance: one batch equals one write at a time.
         for write in &writes {
-            match write.clone() {
-                SegmentWrite::Upsert {
-                    segment,
-                    hashes,
-                    authoritative,
-                    threshold,
-                    now,
-                } => sequential.upsert(segment, hashes, authoritative, threshold, now),
-                SegmentWrite::Revoke { segment, hash } => {
-                    sequential.revoke_authoritative(segment, hash);
-                }
-            }
+            sequential.apply_writes_batch(vec![write.clone()]);
         }
         let locks = batched.apply_writes_batch(writes);
         assert!(locks <= 6, "6 distinct segments need at most 6 stripes");

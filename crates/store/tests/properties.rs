@@ -199,10 +199,11 @@ mod batched_ingest_equivalence {
     }
 
     proptest! {
-        /// `observe_batch` over an arbitrary entry sequence — duplicate
-        /// segments and colliding hashes included — leaves `DBhash`,
-        /// authoritative sets and subsequent disclosure reports identical
-        /// to sequential `observe` calls in the same order.
+        /// Chunking invariance: `observe_batch` over an arbitrary entry
+        /// sequence — duplicate segments and colliding hashes included —
+        /// leaves `DBhash`, authoritative sets and subsequent disclosure
+        /// reports identical to one-entry batches (`observe` calls) in the
+        /// same order.
         #[test]
         fn observe_batch_equals_sequential_observes(
             entries in proptest::collection::vec(entry(), 0..24),
@@ -224,8 +225,7 @@ mod batched_ingest_equivalence {
         }
 
         /// Splitting the same sequence into consecutive `observe_batch`
-        /// calls (arbitrary chunking, interleaving batch sizes of one)
-        /// changes nothing either.
+        /// calls of any size changes nothing either.
         #[test]
         fn chunked_batches_equal_sequential_observes(
             entries in proptest::collection::vec(entry(), 0..24),
@@ -389,19 +389,50 @@ mod indexed_evaluation {
     #[derive(Debug, Clone)]
     enum Op {
         Observe(u64, Vec<u32>),
+        /// Several `(id, hashes)` entries through one `observe_batch`;
+        /// ids come from the same small range, so entries overlap.
+        ObserveBatch(Vec<(u64, Vec<u32>)>),
         Remove(u64),
     }
 
     fn op() -> impl Strategy<Value = Op> {
-        // Remove is rare-ish: ids 8..40 in the second arm are mapped back
+        // Remove is rare-ish: ids 8..40 in the first arm are mapped back
         // into 0..8, biasing the mix toward observations via the id range.
-        (0u64..40, proptest::collection::vec(0u32..200, 0..24)).prop_map(|(id, hashes)| {
-            if id < 32 {
-                Op::Observe(id % 8, hashes)
-            } else {
-                Op::Remove(id % 8)
+        let single =
+            (0u64..40, proptest::collection::vec(0u32..200, 0..24)).prop_map(|(id, hashes)| {
+                if id < 32 {
+                    Op::Observe(id % 8, hashes)
+                } else {
+                    Op::Remove(id % 8)
+                }
+            });
+        let batch =
+            proptest::collection::vec((0u64..8, proptest::collection::vec(0u32..200, 0..24)), 2..6)
+                .prop_map(Op::ObserveBatch);
+        prop_oneof![single, batch]
+    }
+
+    fn apply(store: &FingerprintStore, op: &Op) {
+        match op {
+            Op::Observe(id, hashes) => {
+                store.observe(SegmentId::new(*id), &fingerprint_of(hashes), 0.3);
             }
-        })
+            Op::ObserveBatch(entries) => {
+                let prints: Vec<Fingerprint> = entries
+                    .iter()
+                    .map(|(_, hashes)| fingerprint_of(hashes))
+                    .collect();
+                let refs: Vec<(SegmentId, &Fingerprint, f64)> = entries
+                    .iter()
+                    .zip(&prints)
+                    .map(|((id, _), print)| (SegmentId::new(*id), print, 0.3))
+                    .collect();
+                store.observe_batch(&refs);
+            }
+            Op::Remove(id) => {
+                store.remove_segment(SegmentId::new(*id));
+            }
+        }
     }
 
     #[test]
@@ -453,8 +484,9 @@ mod indexed_evaluation {
             prop_assert_eq!(intersection_count(&big, &small), expected);
         }
 
-        /// After any sequence of observations (with displacement-heavy
-        /// hash overlap) and removals, the incrementally maintained
+        /// After any sequence of observations (single and multi-entry
+        /// batches, with displacement-heavy hash overlap) and removals,
+        /// the incrementally maintained
         /// authoritative index equals the per-hash-probe derivation, and
         /// full Algorithm 1 reports equal the probe-based reference.
         #[test]
@@ -464,14 +496,7 @@ mod indexed_evaluation {
         ) {
             let store = FingerprintStore::new();
             for op in &ops {
-                match op {
-                    Op::Observe(id, hashes) => {
-                        store.observe(SegmentId::new(*id), &fingerprint_of(hashes), 0.3);
-                    }
-                    Op::Remove(id) => {
-                        store.remove_segment(SegmentId::new(*id));
-                    }
-                }
+                apply(&store, op);
             }
             assert_index_matches_probe(&store)?;
             let target_id = SegmentId::new(999);
@@ -494,14 +519,7 @@ mod indexed_evaluation {
         ) {
             let store = FingerprintStore::new();
             for op in &ops {
-                match op {
-                    Op::Observe(id, hashes) => {
-                        store.observe(SegmentId::new(*id), &fingerprint_of(hashes), 0.3);
-                    }
-                    Op::Remove(id) => {
-                        store.remove_segment(SegmentId::new(*id));
-                    }
-                }
+                apply(&store, op);
             }
             let blob = codec::encode_v2_with_shards(&store, shards).expect("encodes");
             let restored = codec::decode_with_workers(&blob, workers).expect("decodes");

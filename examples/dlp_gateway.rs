@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     plugin
         .state()
         .read()
-        .index_paragraph(&"erp".into(), "q3-report", 0, secret)?;
+        .observe_paragraphs(&"erp".into(), "q3-report", &[(0, secret)])?;
 
     let mut browser = Browser::new();
     plugin.install(&mut browser);

@@ -2,11 +2,10 @@
 # CI gate for the BrowserFlow workspace.
 #
 # Runs, in order:
-#   1. grep gates: deprecated persistence free functions stay quarantined
-#      in their definition site, no panicking worker expects in the
-#      pipeline, no per-hash DBhash probes inside Algorithm 1's candidate
-#      evaluation, no explicit-nonce sealing outside the encryption
-#      module's own tests
+#   1. grep gates: removed check entry points stay gone, no panicking
+#      worker expects in the pipeline, no per-hash DBhash probes inside
+#      Algorithm 1's candidate evaluation, no explicit-nonce sealing
+#      outside the encryption module's own tests
 #   2. rustfmt check over the first-party packages
 #   3. clippy with warnings (and the clippy::perf group) denied over the
 #      first-party packages
@@ -87,18 +86,7 @@ for pkg in "${FIRST_PARTY[@]}"; do
     pkg_flags+=(-p "$pkg")
 done
 
-echo "==> grep gate: deprecated persistence shims stay quarantined"
-# The 0.7.0 builder redesign left the old persistence free functions as
-# #[deprecated] shims in crates/store/src/persist.rs (exercised there by
-# one compat test, re-exported once from lib.rs). Every other first-party
-# call site must use PersistOptions / StoreOpenOptions — a new
-# allow(deprecated) anywhere else is someone dodging the migration.
-if grep -rn 'allow(deprecated)' crates examples tests --include='*.rs' \
-    | grep -v '^crates/store/src/persist.rs:' \
-    | grep -v '^crates/store/src/lib.rs:'; then
-    echo 'error: allow(deprecated) outside crates/store/src/{persist,lib}.rs — use the builder API' >&2
-    exit 1
-fi
+echo "==> grep gate: removed check entry points stay gone"
 # The PR 2 check_upload/check_upload_batch wrappers are gone entirely; no
 # call site or reintroduced definition may bring them back (doc-comment
 # history and the bench_check_upload group name are fine).

@@ -29,11 +29,10 @@ fn corpus_flow(paragraphs: usize, cache: bool) -> BrowserFlow {
         .build()
         .unwrap();
     let mut gen = TextGen::new(77);
-    let library: ServiceId = "library".into();
-    for i in 0..paragraphs {
-        let text = gen.paragraph(7);
-        flow.index_paragraph(&library, "corpus", i, &text).unwrap();
-    }
+    let texts: Vec<String> = (0..paragraphs).map(|_| gen.paragraph(7)).collect();
+    let slots: Vec<(usize, &str)> = texts.iter().map(String::as_str).enumerate().collect();
+    flow.observe_paragraphs(&"library".into(), "corpus", &slots)
+        .unwrap();
     flow
 }
 
