@@ -11,8 +11,8 @@
 //!
 //! - **Batching** — a [`CheckRequest`] travels through the queue as a
 //!   single message regardless of how many paragraphs it carries, so a
-//!   document-wide recheck costs one worker round-trip and is served by
-//!   the engine's parallel Algorithm 1 fan-out.
+//!   document-wide recheck costs one worker round-trip and one engine
+//!   call.
 //! - **Backpressure** — the queue holds at most
 //!   [`DeciderConfig::queue_capacity`] requests. [`AsyncDecider::submit`]
 //!   blocks until space frees up; [`AsyncDecider::try_submit`] and
@@ -326,49 +326,6 @@ impl PendingBatch {
             Err(RecvTimeoutError::Disconnected) => Err(DeciderError::Closed),
         }
     }
-
-    /// Non-blocking probe: `None` while the check is still in flight.
-    pub fn poll(&self) -> Option<Result<TimedBatch, DeciderError>> {
-        match self.response.try_recv() {
-            Ok(result) => Some(result),
-            Err(crossbeam::channel::TryRecvError::Empty) => None,
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Some(Err(DeciderError::Closed)),
-        }
-    }
-}
-
-/// A single-paragraph check in flight (the keystroke shape).
-#[derive(Debug)]
-pub struct PendingDecision {
-    inner: PendingBatch,
-}
-
-impl From<PendingBatch> for PendingDecision {
-    fn from(inner: PendingBatch) -> Self {
-        Self { inner }
-    }
-}
-
-impl PendingDecision {
-    /// Blocks until the decision arrives.
-    pub fn wait(self) -> Result<TimedDecision, DeciderError> {
-        self.inner.wait().map(TimedBatch::into_single)
-    }
-
-    /// Blocks for at most `timeout`, then gives up with
-    /// [`DeciderError::Timeout`].
-    pub fn wait_timeout(self, timeout: Duration) -> Result<TimedDecision, DeciderError> {
-        self.inner
-            .wait_timeout(timeout)
-            .map(TimedBatch::into_single)
-    }
-
-    /// Non-blocking probe: `None` while the check is still in flight.
-    pub fn poll(&self) -> Option<Result<TimedDecision, DeciderError>> {
-        self.inner
-            .poll()
-            .map(|result| result.map(TimedBatch::into_single))
-    }
 }
 
 /// Handle to a middleware instance running on a worker thread behind a
@@ -552,7 +509,7 @@ impl AsyncDecider {
         document: impl Into<String>,
         index: usize,
         text: impl Into<String>,
-    ) -> Result<PendingDecision, TrySubmitError> {
+    ) -> Result<PendingBatch, TrySubmitError> {
         let service = service.into();
         let document = document.into();
         let key: CoalesceKey = (service.clone(), document.clone(), index);
@@ -566,7 +523,7 @@ impl AsyncDecider {
         self.try_enqueue(Request::Check(job))?;
         latest.insert(key, seq);
         drop(latest);
-        Ok(PendingDecision::from(pending))
+        Ok(pending)
     }
 
     /// Submits a coalescing keystroke *edit* for one
@@ -588,7 +545,7 @@ impl AsyncDecider {
         document: impl Into<String>,
         index: usize,
         edit: TextEdit,
-    ) -> Result<PendingDecision, TrySubmitError> {
+    ) -> Result<PendingBatch, TrySubmitError> {
         let service = service.into();
         let document = document.into();
         let key: CoalesceKey = (service.clone(), document.clone(), index);
@@ -613,7 +570,7 @@ impl AsyncDecider {
         self.try_enqueue(Request::EditCheck(job))?;
         latest.insert(key, seq);
         drop(latest);
-        Ok(PendingDecision::from(pending))
+        Ok(pending)
     }
 
     /// Submits a disclosure check and blocks until the timed decision
@@ -652,28 +609,13 @@ impl AsyncDecider {
 
     /// Submits a [`CheckRequest`] and blocks until the whole batch
     /// resolves (or [`DeciderConfig::check_timeout`] elapses). The batch
-    /// crosses the queue as one message and is served by a single
-    /// Algorithm 1 fan-out.
+    /// crosses the queue as one message and is served by one engine call.
     pub fn check_request(&self, request: CheckRequest<'_>) -> Result<TimedBatch, DeciderError> {
         let pending = self.submit(request)?;
         match self.config.check_timeout {
             Some(timeout) => pending.wait_timeout(timeout),
             None => pending.wait(),
         }
-    }
-
-    /// Submits a check without waiting; the reply arrives on the returned
-    /// [`PendingDecision`]. This is the fire-and-forget path a keystroke
-    /// handler uses when it must not coalesce.
-    pub fn check_nonblocking(
-        &self,
-        service: impl Into<ServiceId>,
-        document: impl Into<String>,
-        index: usize,
-        text: impl Into<String>,
-    ) -> Result<PendingDecision, DeciderError> {
-        let request = CheckRequest::paragraph(service.into(), document.into(), index, text.into());
-        self.submit(request).map(PendingDecision::from)
     }
 
     fn make_job(
@@ -940,10 +882,10 @@ mod tests {
     fn nonblocking_check_delivers_later() {
         let decider = AsyncDecider::spawn(flow());
         let response = decider
-            .check_nonblocking("gdocs", "draft", 0, "public text")
+            .submit(CheckRequest::paragraph("gdocs", "draft", 0, "public text"))
             .unwrap();
         let timed = response.wait().unwrap();
-        assert_eq!(timed.decision.action, UploadAction::Allow);
+        assert_eq!(timed.decisions[0].action, UploadAction::Allow);
     }
 
     #[test]
@@ -955,13 +897,13 @@ mod tests {
         let pending: Vec<_> = (0..8)
             .map(|i| {
                 decider
-                    .check_nonblocking("gdocs", "draft", i, SECRET)
+                    .submit(CheckRequest::paragraph("gdocs", "draft", i, SECRET))
                     .unwrap()
             })
             .collect();
         for response in pending {
             assert_eq!(
-                response.wait().unwrap().decision.action,
+                response.wait().unwrap().decisions[0].action,
                 UploadAction::Block
             );
         }
@@ -996,7 +938,7 @@ mod tests {
         assert_eq!(first.wait().unwrap_err(), DeciderError::Superseded);
         assert_eq!(second.wait().unwrap_err(), DeciderError::Superseded);
         let timed = third.wait().unwrap();
-        assert_eq!(timed.decision.action, UploadAction::Allow);
+        assert_eq!(timed.decisions[0].action, UploadAction::Allow);
         let stats = decider.stats();
         assert_eq!(stats.coalesced, 2);
         // The stall check and the surviving keystroke completed.
@@ -1041,7 +983,7 @@ mod tests {
             assert_eq!(stale.unwrap_err(), DeciderError::Superseded);
         }
         // ...yet the surviving decision sees the whole typed secret.
-        assert_eq!(last.decision.action, UploadAction::Block);
+        assert_eq!(last.decisions[0].action, UploadAction::Block);
         let stats = decider.stats();
         assert_eq!(stats.coalesced, 2);
         // Session state on the returned middleware holds the full text.

@@ -514,86 +514,37 @@ impl DisclosureEngine {
     }
 
     /// Batched paragraph-granularity check: each `(index, text)` item is
-    /// checked as if by [`DisclosureEngine::check_paragraph`], fanned out
-    /// over `workers` threads (the stores are lock-striped, so checkers
-    /// proceed in parallel), with results in item order. `workers <= 1`,
-    /// or fewer than two items, runs on the calling thread. This is the
-    /// primitive behind the unified [`CheckRequest`](crate::CheckRequest)
-    /// surface, where a batch need not start at paragraph 0 or be
-    /// contiguous.
+    /// checked as if by [`DisclosureEngine::check_paragraph`], in item
+    /// order on the calling thread (Algorithm 1 itself fans out over the
+    /// persistent worker pool). This is the primitive behind the unified
+    /// [`CheckRequest`](crate::CheckRequest) surface, where a batch need
+    /// not start at paragraph 0 or be contiguous.
     ///
     /// # Errors
     ///
-    /// Returns [`WorkerPanic`] if any chunk's check panicked — the panic
-    /// is contained at the join boundary instead of aborting the process
-    /// (a multi-tenant daemon must survive one poisoned check). Every
-    /// remaining chunk is still joined so no worker is leaked.
+    /// Returns [`WorkerPanic`] if a check panicked — the panic is
+    /// contained here instead of aborting the process (a multi-tenant
+    /// daemon must survive one poisoned check).
     pub fn check_paragraphs_at(
         &self,
         doc: &DocKey,
         paragraphs: &[(usize, &str)],
-        workers: usize,
     ) -> Result<Vec<Vec<DisclosureMatch>>, WorkerPanic> {
-        // Allocate every id up front so worker threads never race on the
-        // registry write lock in allocation order.
-        let ids: Vec<SegmentId> = paragraphs
-            .iter()
-            .map(|&(index, _)| self.segment_id(&SegmentKey::paragraph(doc.clone(), index)))
-            .collect();
-        if workers <= 1 || paragraphs.len() < 2 {
-            // Same containment guarantee on the calling-thread path. The
-            // engine's interior mutability is panic-tolerant here: a check
-            // only reads the stores and updates the (per-entry consistent)
-            // decision cache, and parking_lot locks do not poison.
-            return std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                ids.iter()
-                    .zip(paragraphs)
-                    .map(|(&id, &(_, text))| self.check_paragraph_by_id(id, text))
-                    .collect()
-            }))
-            .map_err(|payload| WorkerPanic {
-                detail: panic_detail(payload.as_ref()),
-            });
-        }
-        let jobs: Vec<(SegmentId, &str)> = ids
-            .into_iter()
-            .zip(paragraphs.iter().map(|&(_, text)| text))
-            .collect();
-        let chunk_len = jobs.len().div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    scope.spawn(move |_| {
-                        chunk
-                            .iter()
-                            .map(|&(id, text)| self.check_paragraph_by_id(id, text))
-                            .collect::<Vec<_>>()
-                    })
+        // The engine's interior mutability is panic-tolerant here: a check
+        // only reads the stores and updates the (per-entry consistent)
+        // decision cache, and parking_lot locks do not poison.
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            paragraphs
+                .iter()
+                .map(|&(index, text)| {
+                    let id = self.segment_id(&SegmentKey::paragraph(doc.clone(), index));
+                    self.check_paragraph_by_id(id, text)
                 })
-                .collect();
-            let mut results = Vec::with_capacity(jobs.len());
-            let mut panic: Option<WorkerPanic> = None;
-            for handle in handles {
-                match handle.join() {
-                    Ok(chunk) => results.extend(chunk),
-                    Err(payload) => {
-                        // Keep joining the remaining handles so the scope
-                        // exits cleanly; report the first panic.
-                        if panic.is_none() {
-                            panic = Some(WorkerPanic {
-                                detail: panic_detail(payload.as_ref()),
-                            });
-                        }
-                    }
-                }
-            }
-            match panic {
-                None => Ok(results),
-                Some(p) => Err(p),
-            }
+                .collect()
+        }))
+        .map_err(|payload| WorkerPanic {
+            detail: panic_detail(payload.as_ref()),
         })
-        .expect("scoped check threads join cleanly")
     }
 
     /// Document-granularity disclosure check (uncached; document checks are
@@ -1188,18 +1139,15 @@ mod tests {
         let batch: Vec<(usize, &str)> = vec![(0, SECRET), (1, &poisoned), (2, SECRET)];
 
         test_hooks::set_panic_on_marker(true);
-        // Single-threaded path: the panic is caught, not propagated.
-        let single = engine.check_paragraphs_at(&gdocs, &batch, 1);
-        assert!(matches!(single, Err(WorkerPanic { .. })));
-        // Fan-out path: every worker handle is joined, the first panic wins.
-        let threaded = engine.check_paragraphs_at(&gdocs, &batch, 3);
-        assert_eq!(threaded.unwrap_err().detail, "injected test panic");
+        // The panic is caught and typed, not propagated.
+        let poisoned_batch = engine.check_paragraphs_at(&gdocs, &batch);
+        assert_eq!(poisoned_batch.unwrap_err().detail, "injected test panic");
         test_hooks::set_panic_on_marker(false);
 
         // The engine survives the poisoned batch: stores and registry are
         // intact and the same request now succeeds.
         let ok = engine
-            .check_paragraphs_at(&gdocs, &batch, 3)
+            .check_paragraphs_at(&gdocs, &batch)
             .expect("engine usable after a contained panic");
         assert_eq!(ok.len(), 3);
         assert_eq!(ok[0].len(), 1, "clean paragraph still discloses");

@@ -65,8 +65,8 @@ mod state;
 pub mod tenancy;
 
 pub use asynchronous::{
-    AsyncDecider, DeciderConfig, DeciderError, PendingBatch, PendingDecision, PipelineStats,
-    TimedBatch, TimedDecision, TrySubmitError,
+    AsyncDecider, DeciderConfig, DeciderError, PendingBatch, PipelineStats, TimedBatch,
+    TimedDecision, TrySubmitError,
 };
 pub use engine::{
     DisclosureEngine, DisclosureMatch, DocKey, EngineConfig, SegmentKey, SegmentScope,

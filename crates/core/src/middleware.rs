@@ -21,7 +21,7 @@ use browserflow_fingerprint::TextEdit;
 use browserflow_store::{SegmentId, StoreKey};
 use browserflow_tdm::{Policy, PolicyError, SegmentLabel, Service, ServiceId, Tag, TagSet, UserId};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -262,7 +262,7 @@ impl BrowserFlowBuilder {
             short_secrets: Vec::new(),
             lineage: LineageGraph::new(),
             sentinel: ExfiltrationSentinel::new(self.sentinel),
-            alerts: Mutex::new(Vec::new()),
+            alerts: Mutex::new(VecDeque::new()),
             alert_seq: AtomicU64::new(0),
         })
     }
@@ -289,7 +289,7 @@ pub struct BrowserFlow {
     short_secrets: Vec<ShortSecret>,
     lineage: LineageGraph,
     sentinel: ExfiltrationSentinel,
-    alerts: Mutex<Vec<ExfiltrationAlert>>,
+    alerts: Mutex<VecDeque<ExfiltrationAlert>>,
     alert_seq: AtomicU64,
 }
 
@@ -356,7 +356,7 @@ impl BrowserFlow {
 
     /// Alerts raised by the exfiltration sentinel, oldest first.
     pub fn alerts(&self) -> Vec<ExfiltrationAlert> {
-        self.alerts.lock().clone()
+        self.alerts.lock().iter().cloned().collect()
     }
 
     /// Serialises the lineage graph and alert trail into the deterministic
@@ -364,7 +364,7 @@ impl BrowserFlow {
     /// state always yields identical bytes, so drain → restore round-trips
     /// are byte-for-byte.
     pub fn lineage_snapshot(&self) -> Vec<u8> {
-        crate::lineage::encode_snapshot(&self.lineage, &self.alerts.lock())
+        crate::lineage::encode_snapshot(&self.lineage, self.alerts.lock().make_contiguous())
     }
 
     /// Restores the lineage graph and alert trail from snapshot bytes
@@ -378,7 +378,7 @@ impl BrowserFlow {
         let (graph, alerts) = crate::lineage::decode_snapshot(bytes)?;
         self.alert_seq = AtomicU64::new(alerts.iter().map(|a| a.id).max().unwrap_or(0));
         self.lineage = graph;
-        *self.alerts.lock() = alerts;
+        *self.alerts.lock() = alerts.into();
         Ok(())
     }
 
@@ -517,8 +517,8 @@ impl BrowserFlow {
 
     /// **Policy enforcement** (Figure 1, §3) — the unified entry point:
     /// every paragraph slot of `request` is about to be uploaded to the
-    /// request's service, and all slots are checked as one batch (one
-    /// Algorithm 1 fan-out over up to [`CheckRequest::workers`] threads).
+    /// request's service, and all slots are checked as one batch, in slot
+    /// order on the calling thread.
     ///
     /// Decisions come back in slot order, and warnings are recorded in
     /// slot order too, exactly as the equivalent sequence of
@@ -547,9 +547,7 @@ impl BrowserFlow {
             .iter()
             .map(|p| (p.index, p.text.as_ref()))
             .collect();
-        let all_matches = self
-            .engine
-            .check_paragraphs_at(&doc, &items, request.workers())?;
+        let all_matches = self.engine.check_paragraphs_at(&doc, &items)?;
         items
             .iter()
             .zip(&all_matches)
@@ -841,10 +839,10 @@ impl BrowserFlow {
                     audit_len,
                 },
             };
-            if alerts.len() >= config.max_alerts {
-                alerts.remove(0);
+            alerts.push_back(alert);
+            while alerts.len() > config.max_alerts {
+                alerts.pop_front();
             }
-            alerts.push(alert);
         }
     }
 
@@ -1075,7 +1073,7 @@ impl BrowserFlow {
             short_secrets,
             lineage: LineageGraph::new(),
             sentinel: ExfiltrationSentinel::default(),
-            alerts: Mutex::new(Vec::new()),
+            alerts: Mutex::new(VecDeque::new()),
             alert_seq: AtomicU64::new(0),
         }
     }
@@ -1104,8 +1102,13 @@ mod tests {
     }
 
     fn flow(mode: EnforcementMode) -> BrowserFlow {
+        flow_with_sentinel(mode, SentinelConfig::default())
+    }
+
+    fn flow_with_sentinel(mode: EnforcementMode, sentinel: SentinelConfig) -> BrowserFlow {
         BrowserFlow::builder()
             .mode(mode)
+            .sentinel(sentinel)
             .engine(EngineConfig {
                 fingerprint: FingerprintConfig::builder()
                     .ngram_len(6)
@@ -1545,15 +1548,14 @@ second paragraph about travel reimbursements and the                            
                     .unwrap()
             })
             .collect();
-        for workers in [1usize, 4] {
-            let decisions = batched
-                .check(
-                    &CheckRequest::batch("gdocs", "draft", paragraphs.iter().copied())
-                        .with_workers(workers),
-                )
-                .unwrap();
-            assert_eq!(decisions, expected);
-        }
+        let decisions = batched
+            .check(&CheckRequest::batch(
+                "gdocs",
+                "draft",
+                paragraphs.iter().copied(),
+            ))
+            .unwrap();
+        assert_eq!(decisions, expected);
         assert_eq!(
             expected.iter().map(|d| d.action).collect::<Vec<_>>(),
             [
@@ -1562,8 +1564,8 @@ second paragraph about travel reimbursements and the                            
                 UploadAction::Block
             ]
         );
-        // Warning trail: 2 violations per batch run × 2 worker settings.
-        assert_eq!(batched.warnings().len(), 4);
+        // Warning trail: the batch's 2 violations, in slot order.
+        assert_eq!(batched.warnings().len(), 2);
         assert_eq!(batched.warnings()[0].segment.to_string(), "gdocs/draft#p0");
     }
 
@@ -1651,6 +1653,54 @@ second paragraph about travel reimbursements and the                            
         assert_eq!(flow.alerts().len(), 1);
     }
 
+    /// Relays the secret itool → wiki memo, then uploads the memo into
+    /// each of `sinks` gdocs documents: one two-hop chain per sink.
+    fn relay_into(flow: &BrowserFlow, sinks: usize) {
+        flow.observe_paragraph(&"itool".into(), "eval", 0, SECRET)
+            .unwrap();
+        let memo = format!("{SECRET} as summarised for the quarterly hiring wiki page");
+        flow.observe_paragraph(&"wiki".into(), "memo", 0, &memo)
+            .unwrap();
+        for sink in 0..sinks {
+            let decision = flow
+                .check_one(&CheckRequest::paragraph(
+                    "gdocs",
+                    format!("draft{sink}"),
+                    0,
+                    memo.as_str(),
+                ))
+                .unwrap();
+            assert_eq!(decision.action, UploadAction::Block);
+        }
+    }
+
+    #[test]
+    fn zero_max_alerts_blocks_and_keeps_no_alerts() {
+        let flow = flow_with_sentinel(
+            EnforcementMode::Block,
+            SentinelConfig {
+                max_alerts: 0,
+                ..SentinelConfig::default()
+            },
+        );
+        relay_into(&flow, 1);
+        assert!(flow.alerts().is_empty());
+    }
+
+    #[test]
+    fn alert_trail_keeps_the_newest_max_alerts_oldest_first() {
+        let flow = flow_with_sentinel(
+            EnforcementMode::Block,
+            SentinelConfig {
+                max_alerts: 2,
+                ..SentinelConfig::default()
+            },
+        );
+        relay_into(&flow, 3);
+        let ids: Vec<u64> = flow.alerts().iter().map(|a| a.id).collect();
+        assert_eq!(ids, [2, 3]);
+    }
+
     #[test]
     fn single_hop_violation_raises_no_alert() {
         let flow = flow(EnforcementMode::Block);
@@ -1676,7 +1726,7 @@ second paragraph about travel reimbursements and the                            
         test_hooks::set_panic_on_marker(true);
         let poisoned = format!("{SECRET} {}", test_hooks::FAULT_MARKER);
         let err = flow
-            .check(&CheckRequest::batch("gdocs", "draft", [SECRET, &poisoned]).with_workers(2))
+            .check(&CheckRequest::batch("gdocs", "draft", [SECRET, &poisoned]))
             .unwrap_err();
         assert!(matches!(err, MiddlewareError::WorkerPanic(_)));
         assert!(err.to_string().contains("worker panicked"));
@@ -1684,7 +1734,7 @@ second paragraph about travel reimbursements and the                            
 
         // The middleware remains serviceable after the contained panic.
         let decisions = flow
-            .check(&CheckRequest::batch("gdocs", "draft", [SECRET]).with_workers(2))
+            .check(&CheckRequest::batch("gdocs", "draft", [SECRET]))
             .unwrap();
         assert_eq!(decisions[0].action, UploadAction::Block);
     }

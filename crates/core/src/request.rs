@@ -56,8 +56,7 @@ impl<'a> ParagraphRef<'a> {
 /// A single-paragraph keystroke check and a document-wide recheck are the
 /// same request shape — the latter simply carries more paragraphs and is
 /// served as one batch (one worker round-trip through the
-/// [`AsyncDecider`](crate::AsyncDecider), one Algorithm 1 fan-out through
-/// the engine).
+/// [`AsyncDecider`](crate::AsyncDecider), one engine call).
 ///
 /// # Example
 ///
@@ -72,11 +71,12 @@ impl<'a> ParagraphRef<'a> {
 /// // One keystroke check:
 /// let decision = flow.check_one(&CheckRequest::paragraph("gdocs", "draft", 0, "hello"))?;
 /// assert_eq!(decision.action, UploadAction::Allow);
-/// // A document-wide recheck, fanned out over 4 workers:
-/// let decisions = flow.check(
-///     &CheckRequest::batch("gdocs", "draft", ["first paragraph", "second paragraph"])
-///         .with_workers(4),
-/// )?;
+/// // A document-wide recheck, decided as one batch:
+/// let decisions = flow.check(&CheckRequest::batch(
+///     "gdocs",
+///     "draft",
+///     ["first paragraph", "second paragraph"],
+/// ))?;
 /// assert_eq!(decisions.len(), 2);
 /// # Ok(())
 /// # }
@@ -86,7 +86,6 @@ pub struct CheckRequest<'a> {
     service: ServiceId,
     document: Cow<'a, str>,
     paragraphs: Vec<ParagraphRef<'a>>,
-    workers: usize,
 }
 
 impl<'a> CheckRequest<'a> {
@@ -97,7 +96,6 @@ impl<'a> CheckRequest<'a> {
             service: service.into(),
             document: document.into(),
             paragraphs: Vec::new(),
-            workers: 1,
         }
     }
 
@@ -131,13 +129,6 @@ impl<'a> CheckRequest<'a> {
         self
     }
 
-    /// Sets the Algorithm 1 fan-out width for this request (defaults
-    /// to 1, i.e. the calling/worker thread).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
     /// The destination service.
     pub fn service(&self) -> &ServiceId {
         &self.service
@@ -151,11 +142,6 @@ impl<'a> CheckRequest<'a> {
     /// The paragraph slots to check, in decision order.
     pub fn paragraphs(&self) -> &[ParagraphRef<'a>] {
         &self.paragraphs
-    }
-
-    /// The configured fan-out width.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Number of paragraph slots.
@@ -179,7 +165,6 @@ impl<'a> CheckRequest<'a> {
                 .into_iter()
                 .map(ParagraphRef::into_owned)
                 .collect(),
-            workers: self.workers,
         }
     }
 }
@@ -195,12 +180,10 @@ mod tests {
         assert_eq!(single.document(), "draft");
         assert_eq!(single.len(), 1);
         assert_eq!(single.paragraphs()[0].index, 3);
-        assert_eq!(single.workers(), 1);
 
-        let batch = CheckRequest::batch("gdocs", "draft", ["a", "b", "c"]).with_workers(4);
+        let batch = CheckRequest::batch("gdocs", "draft", ["a", "b", "c"]);
         assert_eq!(batch.len(), 3);
         assert!(!batch.is_empty());
-        assert_eq!(batch.workers(), 4);
         assert_eq!(
             batch
                 .paragraphs()
@@ -209,11 +192,6 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
-    }
-
-    #[test]
-    fn workers_floor_is_one() {
-        assert_eq!(CheckRequest::new("s", "d").with_workers(0).workers(), 1);
     }
 
     #[test]

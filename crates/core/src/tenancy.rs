@@ -27,8 +27,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::asynchronous::{
-    AsyncDecider, DeciderConfig, DeciderError, PendingBatch, PendingDecision, PipelineStats,
-    TrySubmitError,
+    AsyncDecider, DeciderConfig, DeciderError, PendingBatch, PipelineStats, TrySubmitError,
 };
 use crate::middleware::BrowserFlow;
 use crate::request::CheckRequest;
@@ -277,16 +276,7 @@ impl Tenant {
         &self,
         request: CheckRequest<'_>,
     ) -> Result<(PendingBatch, InFlightPermit), AdmissionError> {
-        let guard = self.decider.read();
-        let decider = guard.as_ref().ok_or(AdmissionError::Draining)?;
-        let permit = InFlightPermit::acquire(&self.in_flight, self.config.max_in_flight)?;
-        match decider.try_submit(request) {
-            Ok(batch) => Ok((batch, permit)),
-            Err(TrySubmitError::QueueFull) => Err(AdmissionError::QueueFull {
-                queue_capacity: self.config.decider.queue_capacity,
-            }),
-            Err(TrySubmitError::Closed) => Err(AdmissionError::Draining),
-        }
+        self.admit(|decider| decider.try_submit(request))
     }
 
     /// Admits a coalescing keystroke check (same quota and queue gates as
@@ -302,11 +292,22 @@ impl Tenant {
         document: impl Into<String>,
         index: usize,
         text: impl Into<String>,
-    ) -> Result<(PendingDecision, InFlightPermit), AdmissionError> {
+    ) -> Result<(PendingBatch, InFlightPermit), AdmissionError> {
+        self.admit(|decider| decider.submit_keystroke(service, document, index, text))
+    }
+
+    /// The admission gates shared by [`Tenant::try_check`] and
+    /// [`Tenant::try_keystroke`]: quota first, then `submit` against the
+    /// decider's bounded queue, with either refusal mapped to an
+    /// [`AdmissionError`].
+    fn admit(
+        &self,
+        submit: impl FnOnce(&AsyncDecider) -> Result<PendingBatch, TrySubmitError>,
+    ) -> Result<(PendingBatch, InFlightPermit), AdmissionError> {
         let guard = self.decider.read();
         let decider = guard.as_ref().ok_or(AdmissionError::Draining)?;
         let permit = InFlightPermit::acquire(&self.in_flight, self.config.max_in_flight)?;
-        match decider.submit_keystroke(service.into(), document.into(), index, text.into()) {
+        match submit(decider) {
             Ok(pending) => Ok((pending, permit)),
             Err(TrySubmitError::QueueFull) => Err(AdmissionError::QueueFull {
                 queue_capacity: self.config.decider.queue_capacity,

@@ -492,10 +492,7 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
         } => with_tenant(shared, &tenant, |tenant| {
             match tenant.try_keystroke(service.as_str(), document, index, text) {
                 Ok((pending, _permit)) => match pending.wait() {
-                    Ok(timed) => decisions_reply(TimedBatch {
-                        decisions: vec![timed.decision],
-                        latency: timed.latency,
-                    }),
+                    Ok(timed) => decisions_reply(timed),
                     Err(DeciderError::Superseded) => Reply::Superseded,
                     Err(e) => error_reply(&e),
                 },

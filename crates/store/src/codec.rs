@@ -1,20 +1,10 @@
 //! Binary serialisation of the fingerprint store, with sealed (encrypted)
 //! export for at-rest protection (§4.4).
 //!
-//! Two little-endian formats share the `BFST` magic:
-//!
-//! **v1 (legacy, decode-only)** — one monolithic record:
-//!
-//! ```text
-//! magic "BFST" | u16 version=1 | u64 clock
-//! u64 segment_count | per segment: u64 id, f64 threshold, u64 updated,
-//!                                   u32 hash_count, [u32 hashes...]
-//! u64 sighting_count | per sighting: u32 hash, u64 segment, u64 time
-//! ```
-//!
-//! **v2 (current)** — a checksummed manifest followed by independently
-//! decodable per-shard records that mirror the in-memory lock striping
-//! (segments keyed by `id & mask`, sightings by `hash & mask`):
+//! The blob format is v2 (little-endian, `BFST` magic): a checksummed
+//! manifest followed by independently decodable per-shard records that
+//! mirror the in-memory lock striping (segments keyed by `id & mask`,
+//! sightings by `hash & mask`):
 //!
 //! ```text
 //! manifest: magic "BFST" | u16 version=2 | u64 clock | u32 shard_count
@@ -22,9 +12,14 @@
 //!                      u64 sighting_count
 //!           u32 manifest_crc32 (over every preceding manifest byte)
 //! records:  shard 0 bytes | shard 1 bytes | ...
-//! shard record: u64 segment_count | segments... |
-//!               u64 sighting_count | sightings...   (v1 record layouts)
+//! shard record: u64 segment_count | per segment: u64 id, f64 threshold,
+//!                   u64 updated, u32 hash_count, [u32 hashes...]
+//!               u64 sighting_count | per sighting: u32 hash, u64 segment,
+//!                   u64 time
 //! ```
+//!
+//! Any other version, including the retired monolithic v1 layout, fails
+//! closed with [`CodecError::UnsupportedVersion`].
 //!
 //! Shards are encoded and decoded in parallel (one worker per shard, the
 //! same crossbeam fan-out as Algorithm 1), and each shard stands alone: a
@@ -41,7 +36,6 @@ use std::fmt;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"BFST";
-const VERSION_V1: u16 = 1;
 pub(crate) const VERSION_V2: u16 = 2;
 /// Manifest version announcing v3 (zero-copy cold shard) record files.
 /// The manifest layout is byte-identical to v2 — only the version field
@@ -538,50 +532,6 @@ pub fn encode_v2_with_shards(
     Ok(out)
 }
 
-/// Serialises the store in the legacy monolithic v1 layout (kept for
-/// migration tooling and back-compat tests; new snapshots use v2).
-///
-/// # Errors
-///
-/// Returns [`CodecError::TooLarge`] if a collection exceeds the format's
-/// length fields.
-pub fn encode_v1(store: &FingerprintStore) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION_V1.to_le_bytes());
-    out.extend_from_slice(&store.now().get().to_le_bytes());
-
-    let segment_ids: Vec<SegmentId> = {
-        let mut ids: Vec<SegmentId> = store.segment_ids().collect();
-        ids.sort_unstable();
-        ids
-    };
-    let stored: Vec<(SegmentId, Arc<StoredSegment>)> = segment_ids
-        .iter()
-        .filter_map(|&id| store.segment(id).map(|s| (id, s)))
-        .collect();
-    out.extend_from_slice(&len_u64(stored.len())?.to_le_bytes());
-    for (id, segment) in &stored {
-        out.extend_from_slice(&id.get().to_le_bytes());
-        out.extend_from_slice(&segment.threshold().to_le_bytes());
-        out.extend_from_slice(&segment.updated().get().to_le_bytes());
-        out.extend_from_slice(&len_u32(segment.hashes().len())?.to_le_bytes());
-        for &hash in segment.hashes() {
-            out.extend_from_slice(&hash.to_le_bytes());
-        }
-    }
-
-    let mut sightings = store.sightings();
-    sightings.sort_unstable_by_key(|(hash, s)| (*hash, s.time));
-    out.extend_from_slice(&len_u64(sightings.len())?.to_le_bytes());
-    for (hash, sighting) in sightings {
-        out.extend_from_slice(&hash.to_le_bytes());
-        out.extend_from_slice(&sighting.segment.get().to_le_bytes());
-        out.extend_from_slice(&sighting.time.get().to_le_bytes());
-    }
-    Ok(out)
-}
-
 // --- Decoding -------------------------------------------------------------
 
 /// A parsed-but-not-yet-installed shard: validation happens entirely on
@@ -762,91 +712,34 @@ fn decode_any(
         return Err(CodecError::BadMagic);
     }
     let version = reader.u16()?;
-    match version {
-        VERSION_V1 => {
-            let store = decode_v1(&mut reader)?;
-            store.rebuild_authoritative_index(workers);
-            Ok((
-                store,
-                RestoreReport {
-                    loaded_shards: 1,
-                    ..RestoreReport::default()
-                },
-            ))
-        }
-        VERSION_V2 => {
-            let manifest = parse_manifest(&mut reader)?;
-            // Shard offsets follow deterministically from the (verified)
-            // manifest, so a damaged region never shifts its neighbours.
-            let mut offset = reader.position();
-            let mut regions: Vec<Option<&[u8]>> = Vec::with_capacity(manifest.shards.len());
-            for meta in &manifest.shards {
-                let len = usize::try_from(meta.byte_len).map_err(|_| CodecError::Truncated)?;
-                let region = offset
-                    .checked_add(len)
-                    .and_then(|end| bytes.get(offset..end));
-                if region.is_none() && !lossy {
-                    return Err(CodecError::Truncated);
-                }
-                offset = offset.saturating_add(len);
-                regions.push(region);
-            }
-            if !lossy && offset != bytes.len() {
-                return Err(CodecError::Truncated);
-            }
-            assemble_from_parts(&manifest, &regions, workers, lossy)
-        }
-        found => Err(CodecError::UnsupportedVersion { found }),
+    if version != VERSION_V2 {
+        return Err(CodecError::UnsupportedVersion { found: version });
     }
-}
-
-fn decode_v1(reader: &mut Reader) -> Result<FingerprintStore, CodecError> {
-    let clock = reader.u64()?;
-    let store = FingerprintStore::new();
-
-    let segment_count = reader.u64()?;
-    let segment_count = reader.check_count(segment_count, 28)?;
-    let mut seen_segments: HashSet<u64> = HashSet::with_capacity(segment_count);
-    for _ in 0..segment_count {
-        let raw = reader.u64()?;
-        if !seen_segments.insert(raw) {
-            return Err(CodecError::DuplicateSegment { segment: raw });
+    let manifest = parse_manifest(&mut reader)?;
+    // Shard offsets follow deterministically from the (verified)
+    // manifest, so a damaged region never shifts its neighbours.
+    let mut offset = reader.position();
+    let mut regions: Vec<Option<&[u8]>> = Vec::with_capacity(manifest.shards.len());
+    for meta in &manifest.shards {
+        let len = usize::try_from(meta.byte_len).map_err(|_| CodecError::Truncated)?;
+        let region = offset
+            .checked_add(len)
+            .and_then(|end| bytes.get(offset..end));
+        if region.is_none() && !lossy {
+            return Err(CodecError::Truncated);
         }
-        let threshold = reader.f64()?;
-        let updated = Timestamp::new(reader.u64()?);
-        let hash_count = u64::from(reader.u32()?);
-        let hash_count = reader.check_count(hash_count, 4)?;
-        let mut hashes = Vec::with_capacity(hash_count);
-        for _ in 0..hash_count {
-            hashes.push(reader.u32()?);
-        }
-        hashes.sort_unstable();
-        hashes.dedup();
-        store.restore_segment(SegmentId::new(raw), hashes, threshold, updated);
+        offset = offset.saturating_add(len);
+        regions.push(region);
     }
-
-    let sighting_count = reader.u64()?;
-    let sighting_count = reader.check_count(sighting_count, 20)?;
-    let mut seen_hashes: HashSet<u32> = HashSet::with_capacity(sighting_count);
-    for _ in 0..sighting_count {
-        let hash = reader.u32()?;
-        let segment = reader.u64()?;
-        let time = Timestamp::new(reader.u64()?);
-        if !seen_hashes.insert(hash) {
-            return Err(CodecError::DuplicateSighting { hash, segment });
-        }
-        store.restore_sighting(hash, SegmentId::new(segment), time);
-    }
-    store.restore_clock(Timestamp::new(clock));
-    if !reader.finished() {
+    if !lossy && offset != bytes.len() {
         return Err(CodecError::Truncated);
     }
-    Ok(store)
+    assemble_from_parts(&manifest, &regions, workers, lossy)
 }
 
-/// Reconstructs a store from [`encode`]d bytes (either format version,
-/// dispatched on the version field). Strict: any corruption fails the
-/// whole decode — use [`decode_lossy`] to salvage healthy shards.
+/// Reconstructs a store from [`encode`]d bytes. Strict: any corruption
+/// fails the whole decode — use [`decode_lossy`] to salvage healthy
+/// shards.
 ///
 /// # Errors
 ///
@@ -868,28 +761,14 @@ pub fn decode_with_workers(bytes: &[u8], workers: usize) -> Result<FingerprintSt
 ///
 /// Damaged shards (torn, checksum-failing, or claiming foreign records)
 /// are dropped and reported in the [`RestoreReport`]; every other shard
-/// loads. v1 payloads have a single implicit shard, so for them lossy and
-/// strict decoding coincide.
+/// loads.
 ///
 /// # Errors
 ///
 /// Fails hard only when nothing can be trusted: a bad magic/version, or a
 /// manifest that is truncated or fails its own checksum.
 pub fn decode_lossy(bytes: &[u8]) -> Result<(FingerprintStore, RestoreReport), CodecError> {
-    decode_lossy_with_workers(bytes, crate::disclosure::default_workers())
-}
-
-/// [`decode_lossy`] with an explicit worker budget for the per-shard
-/// fan-out.
-///
-/// # Errors
-///
-/// See [`decode_lossy`].
-pub fn decode_lossy_with_workers(
-    bytes: &[u8],
-    workers: usize,
-) -> Result<(FingerprintStore, RestoreReport), CodecError> {
-    decode_any(bytes, workers, true)
+    decode_any(bytes, crate::disclosure::default_workers(), true)
 }
 
 // --- Sealed export --------------------------------------------------------
@@ -1133,19 +1012,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_payloads_still_decode() {
-        let store = sample_store();
-        let v1 = encode_v1(&store).unwrap();
-        let decoded = decode(&v1).unwrap();
-        assert_equivalent(&store, &decoded);
-        // Lossy decoding treats a v1 blob as one implicit shard.
-        let (lossy, report) = decode_lossy(&v1).unwrap();
-        assert_equivalent(&store, &lossy);
-        assert_eq!(report.loaded_shards, 1);
-        assert!(report.is_complete());
-    }
-
-    #[test]
     fn v2_output_is_deterministic_across_worker_counts() {
         let store = sample_store();
         let (manifest_1, records_1) = encode_v2_parts(&store, 8, 1).unwrap();
@@ -1234,62 +1100,85 @@ mod tests {
         assert!(matches!(decode(&trailing), Err(CodecError::Truncated)));
     }
 
+    /// Wraps a hand-built shard record in a one-shard v2 blob, signing
+    /// both the shard CRC and the manifest CRC so that decoding reaches
+    /// the record's own count and duplicate checks.
+    fn one_shard_blob(record: &[u8], segment_count: u64, sighting_count: u64) -> Vec<u8> {
+        let meta = ShardMeta {
+            crc: crc32(record),
+            byte_len: record.len() as u64,
+            segment_count,
+            sighting_count,
+        };
+        let mut bytes = encode_manifest(VERSION_V2, 0, &[meta]);
+        bytes.extend_from_slice(record);
+        bytes
+    }
+
+    /// One segment record with no hashes: id, threshold, updated, count.
+    fn empty_segment(id: u64) -> Vec<u8> {
+        let mut bytes = id.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&0.5f64.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn corrupted_counts_fail_without_allocating() {
-        // Flip the v1 segment-count field to a huge value: decode must
-        // return Truncated instead of attempting a huge allocation.
-        let mut bytes = encode_v1(&sample_store()).unwrap();
-        for byte in &mut bytes[14..22] {
-            *byte = 0xFF; // segment_count field (after magic+ver+clock)
-        }
-        assert!(matches!(decode(&bytes), Err(CodecError::Truncated)));
+        // A huge segment count: decode must return Truncated instead of
+        // attempting a huge allocation.
+        let mut record = u64::MAX.to_le_bytes().to_vec();
+        record.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(
+            decode(&one_shard_blob(&record, 0, 0)).unwrap_err(),
+            CodecError::Truncated
+        );
         // Same for a per-segment hash count.
-        let mut bytes = encode_v1(&sample_store()).unwrap();
-        let hash_count_offset = 14 + 8 + 8 + 8 + 8; // first segment's count
-        for byte in &mut bytes[hash_count_offset..hash_count_offset + 4] {
-            *byte = 0xFF;
-        }
-        assert!(matches!(decode(&bytes), Err(CodecError::Truncated)));
+        let mut record = 1u64.to_le_bytes().to_vec();
+        let mut segment = empty_segment(7);
+        let hash_count = segment.len() - 4;
+        segment[hash_count..].copy_from_slice(&u32::MAX.to_le_bytes());
+        record.extend_from_slice(&segment);
+        record.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(
+            decode(&one_shard_blob(&record, 1, 0)).unwrap_err(),
+            CodecError::Truncated
+        );
+        // And for the sighting count.
+        let mut record = 0u64.to_le_bytes().to_vec();
+        record.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            decode(&one_shard_blob(&record, 0, 0)).unwrap_err(),
+            CodecError::Truncated
+        );
     }
 
     #[test]
     fn duplicate_segments_are_rejected() {
-        // Hand-build a v1 payload listing the same segment id twice (with
-        // empty hash sets). The old decoder silently overwrote the first
-        // record; now it is a hard error.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&VERSION_V1.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes()); // clock
-        bytes.extend_from_slice(&2u64.to_le_bytes()); // segment count
-        for _ in 0..2 {
-            bytes.extend_from_slice(&7u64.to_le_bytes()); // same id twice
-            bytes.extend_from_slice(&0.5f64.to_le_bytes());
-            bytes.extend_from_slice(&0u64.to_le_bytes());
-            bytes.extend_from_slice(&0u32.to_le_bytes()); // no hashes
-        }
-        bytes.extend_from_slice(&0u64.to_le_bytes()); // sighting count
+        // A shard record listing the same segment id twice must be a hard
+        // error, not a silent overwrite of the first record.
+        let mut record = 2u64.to_le_bytes().to_vec();
+        record.extend_from_slice(&empty_segment(7));
+        record.extend_from_slice(&empty_segment(7));
+        record.extend_from_slice(&0u64.to_le_bytes()); // sighting count
         assert_eq!(
-            decode(&bytes).unwrap_err(),
+            decode(&one_shard_blob(&record, 2, 0)).unwrap_err(),
             CodecError::DuplicateSegment { segment: 7 }
         );
     }
 
     #[test]
     fn duplicate_sightings_are_rejected() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&VERSION_V1.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes()); // clock
-        bytes.extend_from_slice(&0u64.to_le_bytes()); // segment count
-        bytes.extend_from_slice(&2u64.to_le_bytes()); // sighting count
+        let mut record = 0u64.to_le_bytes().to_vec(); // segment count
+        record.extend_from_slice(&2u64.to_le_bytes()); // sighting count
         for segment in [3u64, 4] {
-            bytes.extend_from_slice(&99u32.to_le_bytes()); // same hash twice
-            bytes.extend_from_slice(&segment.to_le_bytes());
-            bytes.extend_from_slice(&1u64.to_le_bytes());
+            record.extend_from_slice(&99u32.to_le_bytes()); // same hash twice
+            record.extend_from_slice(&segment.to_le_bytes());
+            record.extend_from_slice(&1u64.to_le_bytes());
         }
         assert_eq!(
-            decode(&bytes).unwrap_err(),
+            decode(&one_shard_blob(&record, 0, 2)).unwrap_err(),
             CodecError::DuplicateSighting {
                 hash: 99,
                 segment: 4

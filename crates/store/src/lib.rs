@@ -393,35 +393,6 @@ impl FingerprintStore {
         stored.authoritative().iter().copied().collect()
     }
 
-    /// The disclosure `D(source, target)` of stored segment `source`
-    /// towards a fingerprint `target`:
-    ///
-    /// `|F_authoritative(source) ∩ target| / |F_authoritative(source)|`
-    ///
-    /// Both sides of the ratio use the authoritative fingerprint, as in
-    /// the paper's `computeDisclosure(F_A(p), ·)` — a source is judged on
-    /// how much of *its own* content leaked, not on content it borrowed
-    /// from older segments (which those segments report themselves).
-    ///
-    /// Returns 0.0 if the source is unknown or owns no hashes.
-    pub fn disclosure_from<S: BuildHasher>(
-        &self,
-        source: SegmentId,
-        target: &HashSet<u32, S>,
-    ) -> f64 {
-        let Some(stored) = self.segment(source) else {
-            return 0.0;
-        };
-        let authoritative = stored.authoritative();
-        if authoritative.is_empty() {
-            return 0.0;
-        }
-        let mut sorted_target: Vec<u32> = target.iter().copied().collect();
-        sorted_target.sort_unstable();
-        let overlap = intersect::intersection_count(authoritative, &sorted_target);
-        overlap as f64 / authoritative.len() as f64
-    }
-
     /// Algorithm 1: the stored source segments whose disclosure
     /// requirement the fingerprint of `target` violates.
     ///
@@ -954,9 +925,5 @@ mod tests {
         assert!(store
             .disclosing_sources(SegmentId::new(2), &fp.fingerprint("tiny"))
             .is_empty());
-        assert_eq!(
-            store.disclosure_from(SegmentId::new(1), &HashSet::new()),
-            0.0
-        );
     }
 }

@@ -48,6 +48,7 @@
 //! ```
 
 use crate::codec::{self, CodecError, Manifest, RestoreReport, ShardMeta};
+use crate::disclosure::default_workers;
 use crate::tier::{ColdShard, TierState, TierSweep};
 use crate::{FingerprintStore, SealedStore, StoreKey, Timestamp};
 use std::fmt;
@@ -63,7 +64,7 @@ pub const MANIFEST_FILE: &str = "manifest.bfm";
 const SEALED_SUFFIX: &str = ".sealed";
 /// Magic of the single-file sealed container ([`SealedStore`]).
 const SEALED_FILE_MAGIC: &[u8; 4] = b"BFSS";
-/// Magic of plain serialised stores (v1/v2 single file, and manifests).
+/// Magic of plain serialised stores (v2 single file, and manifests).
 const PLAIN_FILE_MAGIC: &[u8; 4] = b"BFST";
 
 pub(crate) fn shard_file(index: usize) -> String {
@@ -273,7 +274,6 @@ fn encode_v3_parts(
 pub struct PersistOptions {
     key: Option<StoreKey>,
     format: StoreFormat,
-    workers: Option<usize>,
 }
 
 impl PersistOptions {
@@ -298,19 +298,6 @@ impl PersistOptions {
         self
     }
 
-    /// Caps the encoder worker threads (default: the disclosure worker
-    /// count).
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
-        self
-    }
-
-    fn worker_count(&self) -> usize {
-        self.workers
-            .unwrap_or_else(crate::disclosure::default_workers)
-    }
-
     /// Writes `store` into `dir` per the selected options. Atomic in the
     /// same shards-then-manifest sense as every other writer here.
     ///
@@ -327,17 +314,17 @@ impl PersistOptions {
                  seal v2 or persist v3 plain",
             )),
             (StoreFormat::V3, None) => {
-                let (manifest, records) = encode_v3_parts(store, self.worker_count())?;
+                let (manifest, records) = encode_v3_parts(store, default_workers())?;
                 persist_parts(dir, &manifest, &records)
             }
             (StoreFormat::V2, None) => {
                 let (manifest, records) =
-                    codec::encode_v2_parts(store, store.shard_count(), self.worker_count())?;
+                    codec::encode_v2_parts(store, store.shard_count(), default_workers())?;
                 persist_parts(dir, &manifest, &records)
             }
             (StoreFormat::V2, Some(key)) => {
                 let (manifest, records) =
-                    codec::encode_v2_parts(store, store.shard_count(), self.worker_count())?;
+                    codec::encode_v2_parts(store, store.shard_count(), default_workers())?;
                 fs::create_dir_all(dir)?;
                 for (index, record) in records.iter().enumerate() {
                     let sealed = key.seal_auto(record).to_bytes();
@@ -359,13 +346,13 @@ impl PersistOptions {
 
 /// How to open a persisted snapshot: plain or sealed, hot or cold.
 ///
-/// Also accepts single-file payloads (plain v1/v2 blobs and sealed containers), so any
-/// snapshot ever written by this crate opens through one entry point.
+/// Also accepts single-file payloads (plain v2 blobs and sealed
+/// containers), so every current snapshot shape opens through one entry
+/// point.
 #[derive(Debug, Clone, Default)]
 pub struct StoreOpenOptions {
     key: Option<StoreKey>,
     tier: TierMode,
-    workers: Option<usize>,
 }
 
 impl StoreOpenOptions {
@@ -391,22 +378,9 @@ impl StoreOpenOptions {
         self
     }
 
-    /// Caps the decoder worker threads (default: the disclosure worker
-    /// count).
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
-        self
-    }
-
-    fn worker_count(&self) -> usize {
-        self.workers
-            .unwrap_or_else(crate::disclosure::default_workers)
-    }
-
     /// Opens the snapshot at `path` — a directory written by
     /// [`PersistOptions::persist`], or a
-    /// single-file payload (plain v1/v2 bytes, or a sealed container).
+    /// single-file payload (plain v2 bytes, or a sealed container).
     ///
     /// Degrades gracefully: shards that are missing, truncated, or
     /// checksum-failing are reported lost in the [`RestoreReport`]; every
@@ -453,7 +427,7 @@ impl StoreOpenOptions {
                 .map(|index| fs::read(dir.join(shard_file(index))).ok())
                 .collect();
             let (store, report) =
-                codec::assemble_from_parts(&manifest, &regions, self.worker_count(), true)?;
+                codec::assemble_from_parts(&manifest, &regions, default_workers(), true)?;
             Ok((store, report))
         }
     }
@@ -486,7 +460,7 @@ impl StoreOpenOptions {
             })
             .collect();
         let (store, report) =
-            codec::assemble_from_parts(&manifest, &regions, self.worker_count(), true)?;
+            codec::assemble_from_parts(&manifest, &regions, default_workers(), true)?;
         Ok((store, report))
     }
 
@@ -503,7 +477,7 @@ impl StoreOpenOptions {
         if store.shard_count() != shard_count {
             return Err(CodecError::Truncated.into());
         }
-        let shards = open_cold_shards(dir, &manifest, self.worker_count());
+        let shards = open_cold_shards(dir, &manifest, default_workers());
         let mut report = RestoreReport::default();
         for (index, result) in shards {
             match result {
@@ -538,8 +512,7 @@ impl StoreOpenOptions {
         let bytes = fs::read(path)?;
         match bytes.get(..4) {
             Some(magic) if magic == PLAIN_FILE_MAGIC => {
-                let (store, report) =
-                    codec::decode_lossy_with_workers(&bytes, self.worker_count())?;
+                let (store, report) = codec::decode_lossy(&bytes)?;
                 Ok((store, report))
             }
             Some(magic) if magic == SEALED_FILE_MAGIC => {
@@ -625,7 +598,7 @@ fn open_cold_dir(
         return Err(CodecError::Truncated.into());
     }
     let mut metas = manifest.shards.clone();
-    let shards = open_cold_shards(dir, &manifest, crate::disclosure::default_workers());
+    let shards = open_cold_shards(dir, &manifest, default_workers());
     let mut report = RestoreReport::default();
     for (index, result) in shards {
         match result {

@@ -1,9 +1,9 @@
 //! Persistence tests: proptest round-trips over arbitrary stores and
 //! shard counts, the corruption matrix (torn shards, flipped manifest
 //! CRCs, swapped shard records) for both the v2 and the v3 (cold,
-//! mmap'd) formats, v1 back-compat, cross-version opens through the
-//! unified [`StoreOpenOptions`] entry point, and the sealed-export
-//! nonce-reuse regression.
+//! mmap'd) formats, the fail-closed refusal of retired v1 blobs,
+//! cross-version opens through the unified [`StoreOpenOptions`] entry
+//! point, and the sealed-export nonce-reuse regression.
 //!
 //! `scripts/ci.sh` runs this file explicitly as the corruption gate.
 
@@ -227,11 +227,26 @@ fn torn_directory_loads_healthy_shards_and_reports_the_torn_one() {
 }
 
 #[test]
-fn v1_blob_still_decodes_byte_identically() {
-    let store = build_store(&[(10, 1), (11, 4), (12, 8)]);
-    let v1 = codec::encode_v1(&store).unwrap();
-    let decoded = codec::decode(&v1).unwrap();
-    assert_equivalent(&store, &decoded);
+fn v1_blob_is_rejected_as_unsupported() {
+    // A well-formed blob in the retired monolithic v1 layout (magic,
+    // version 1, clock, no segments, no sightings) fails closed on every
+    // decode path instead of loading.
+    let mut v1 = b"BFST".to_vec();
+    v1.extend_from_slice(&1u16.to_le_bytes());
+    for field in [5u64, 0, 0] {
+        v1.extend_from_slice(&field.to_le_bytes());
+    }
+    let unsupported = CodecError::UnsupportedVersion { found: 1 };
+    assert_eq!(codec::decode(&v1).unwrap_err(), unsupported);
+    assert_eq!(codec::decode_lossy(&v1).unwrap_err(), unsupported);
+    let file = std::env::temp_dir().join(format!("bf-v1-{}.bfst", std::process::id()));
+    std::fs::write(&file, &v1).unwrap();
+    let opened = StoreOpenOptions::new().open(&file);
+    std::fs::remove_file(&file).unwrap();
+    assert!(
+        matches!(opened, Err(PersistError::Codec(ref e)) if *e == unsupported),
+        "{opened:?}"
+    );
 }
 
 #[test]
@@ -538,9 +553,7 @@ fn every_historic_snapshot_format_opens_through_store_open_options() {
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).unwrap();
 
-    // Single-file payloads: v1 blob, v2 blob, sealed container.
-    let v1_file = base.join("store.v1.bfst");
-    std::fs::write(&v1_file, codec::encode_v1(&store).unwrap()).unwrap();
+    // Single-file payloads: v2 blob, sealed container.
     let v2_file = base.join("store.v2.bfst");
     std::fs::write(&v2_file, codec::encode(&store).unwrap()).unwrap();
     let sealed_file = base.join("store.bfss");
@@ -561,7 +574,6 @@ fn every_historic_snapshot_format_opens_through_store_open_options() {
 
     let opts = StoreOpenOptions::sealed(key.clone());
     for (label, path) in [
-        ("v1 file", &v1_file),
         ("v2 file", &v2_file),
         ("sealed file", &sealed_file),
         ("v2 dir", &v2_dir),
@@ -614,15 +626,5 @@ proptest! {
         assert_equivalent(&store, &lossy);
         prop_assert!(report.is_complete());
         prop_assert_eq!(report.loaded_shards, shards);
-    }
-
-    /// The v1 and v2 encodings of the same store decode to equivalent
-    /// stores (cross-version agreement).
-    #[test]
-    fn v1_and_v2_agree(specs in proptest::collection::vec((1u64..200, 0usize..16), 0..12)) {
-        let store = build_store(&specs);
-        let from_v1 = codec::decode(&codec::encode_v1(&store).unwrap()).unwrap();
-        let from_v2 = codec::decode(&codec::encode(&store).unwrap()).unwrap();
-        assert_equivalent(&from_v1, &from_v2);
     }
 }

@@ -129,7 +129,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         match receipt.wait() {
             Ok(timed) => {
                 decided += 1;
-                last_action = Some(timed.decision.action);
+                last_action = Some(timed.decisions[0].action);
             }
             Err(DeciderError::Superseded) => superseded += 1,
             Err(e) => println!("pipeline error: {e}"),

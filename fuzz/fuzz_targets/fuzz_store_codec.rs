@@ -7,7 +7,7 @@
 //!
 //! The first input byte selects the surface, the rest is the payload:
 //!
-//! - `0`: [`codec::decode_lossy`] on the raw payload (v1/v2 single-blob
+//! - `0`: [`codec::decode_lossy`] on the raw payload (v2 single-blob
 //!   parser).
 //! - `1`: [`SealedStore::from_bytes`] on the raw payload (sealed
 //!   container framing).

@@ -1,13 +1,15 @@
 //! Regenerates the checked-in seed corpora under `fuzz/corpus/` from real
-//! persisted payloads, so the fuzzers start from well-formed inputs (the
-//! interesting failures live a few mutations away from valid bytes, not
-//! in random noise).
+//! persisted payloads and request frames, so the fuzzers start from
+//! well-formed inputs (the interesting failures live a few mutations away
+//! from valid bytes, not in random noise).
 //!
 //! Run from anywhere: `cargo run -p browserflow-fuzz --bin gen_seeds`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use browserflow_daemon::protocol::{write_frame, write_request};
+use browserflow_daemon::{ParagraphSlot, Request};
 use browserflow_fuzz::{first_shard, sample_store, SnapshotFixture};
 use browserflow_store::codec;
 use browserflow_store::persist::MANIFEST_FILE;
@@ -84,4 +86,66 @@ fn main() {
         tiny.extend_from_slice(&[kind, a, b, c, d]);
     }
     write_seed(&dir, "tiny-config", &tiny);
+
+    println!("fuzz_wire_request seeds (real request frames):");
+    let dir = corpus_dir("fuzz_wire_request");
+    let text = "the quarterly interview notes are strictly confidential";
+    let slots = |n: usize| -> Vec<ParagraphSlot> {
+        (0..n)
+            .map(|index| ParagraphSlot {
+                index,
+                text: format!("{text} (paragraph {index})"),
+            })
+            .collect()
+    };
+    let requests = [
+        (
+            "keystroke",
+            Request::Keystroke {
+                tenant: "acme".into(),
+                service: "gdocs".into(),
+                document: "draft".into(),
+                index: 0,
+                text: text.into(),
+            },
+        ),
+        (
+            "check",
+            Request::Check {
+                tenant: "acme".into(),
+                service: "gdocs".into(),
+                document: "draft".into(),
+                paragraphs: slots(2),
+            },
+        ),
+        (
+            "observe",
+            Request::Observe {
+                tenant: "acme".into(),
+                service: "itool".into(),
+                document: "notes".into(),
+                index: 0,
+                text: text.into(),
+            },
+        ),
+        (
+            "observe-batch",
+            Request::ObserveBatch {
+                tenant: "acme".into(),
+                service: "itool".into(),
+                document: "memo".into(),
+                paragraphs: slots(3),
+            },
+        ),
+    ];
+    for (name, request) in &requests {
+        let mut frame = Vec::new();
+        write_request(&mut frame, request).expect("request frame");
+        write_seed(&dir, name, &frame);
+    }
+    // Past the JSON decoder's nesting cap: must be an error, not a crash.
+    let nested = format!("{}{}", "[".repeat(200), "]".repeat(200));
+    let mut frame = Vec::new();
+    write_frame(&mut frame, nested.as_bytes()).expect("nested frame");
+    write_seed(&dir, "nested-200", &frame);
 }

@@ -16,8 +16,9 @@
 #      scalar kernel (BF_FORCE_SCALAR=1) and on the runtime-detected
 #      native kernel, so the SIMD and scalar paths both pass the full
 #      unit + proptest suite on every host
-#   8. a bounded fuzz smoke of both fuzz targets (store codec on
-#      arbitrary bytes; incremental-vs-full fingerprint equivalence):
+#   8. a bounded fuzz smoke of the three fuzz targets (store codec on
+#      arbitrary bytes; incremental-vs-full fingerprint equivalence; bfd
+#      request frames on arbitrary bytes):
 #      through `cargo fuzz` when a nightly toolchain with cargo-fuzz is
 #      installed, otherwise directly against the vendored
 #      libfuzzer-sys stand-in binaries
@@ -152,14 +153,15 @@ echo "==> fingerprint suite on the native kernel"
 # …and again on whatever kernel this host dispatches to natively.
 cargo test -q -p browserflow-fingerprint
 
-echo "==> bounded fuzz smoke (store codec, incremental edits)"
+echo "==> bounded fuzz smoke (store codec, incremental edits, wire requests)"
 # Prefers real cargo-fuzz (nightly + sanitizer + coverage feedback) when
 # installed; otherwise falls back to the vendored libfuzzer-sys stand-in,
 # which replays the checked-in seed corpora and runs bounded mutation
-# rounds. A panic in either target fails the gate.
+# rounds. A panic in any target fails the gate.
 if cargo +nightly fuzz --version >/dev/null 2>&1; then
     cargo +nightly fuzz run fuzz_store_codec -- -runs=512
     cargo +nightly fuzz run fuzz_incremental_edits -- -runs=512
+    cargo +nightly fuzz run fuzz_wire_request -- -runs=512
 else
     echo 'WARNING: cargo-fuzz/nightly not installed — running the fuzz targets' >&2
     echo 'WARNING: against the vendored libfuzzer-sys stand-in (no sanitizer,' >&2
@@ -168,6 +170,8 @@ else
         -runs=2048 fuzz/corpus/fuzz_store_codec
     cargo run -q --release -p browserflow-fuzz --bin fuzz_incremental_edits -- \
         -runs=2048 fuzz/corpus/fuzz_incremental_edits
+    cargo run -q --release -p browserflow-fuzz --bin fuzz_wire_request -- \
+        -runs=2048 fuzz/corpus/fuzz_wire_request
 fi
 
 echo "==> keystroke fingerprint bench smoke run (release)"

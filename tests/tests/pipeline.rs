@@ -90,7 +90,7 @@ proptest! {
         let mut last_decided = None;
         for receipt in receipts {
             match receipt.wait() {
-                Ok(timed) => last_decided = Some(timed.decision.action),
+                Ok(timed) => last_decided = Some(timed.decisions[0].action),
                 Err(DeciderError::Superseded) => {}
                 Err(other) => panic!("unexpected pipeline error: {other:?}"),
             }
@@ -221,7 +221,7 @@ fn drop_mid_request_resolves_receivers_with_closed() {
     let pending: Vec<_> = (0..6)
         .map(|i| {
             decider
-                .check_nonblocking("gdocs", "draft", i, "text")
+                .submit(CheckRequest::paragraph("gdocs", "draft", i, "text"))
                 .unwrap()
         })
         .collect();
